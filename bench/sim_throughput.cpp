@@ -4,12 +4,11 @@
 //
 // Raw simulation throughput of each execution substrate (the ROADMAP's
 // "fast as the hardware allows" axis). The ISA simulator is measured
-// three ways — interpreter with no decode cache, the predecoded fast
-// path, and the superblock trace engine (riscv/BlockEngine.h) — and
-// every fast path is differentially checked against the reference
-// stepper (same registers, PC, trace, and UB verdict; the Block engine
-// through its own lockstep Differential mode) before any number is
-// reported. Measurements use best-of-N windows, like interp_throughput:
+// two ways — the reference stepper and the superblock trace engine
+// (riscv/BlockEngine.h) — and the engine is differentially checked
+// against the stepper through its own lockstep Differential mode (same
+// registers, PC, RAM, XAddrs, trace, and UB verdict) before any number
+// is reported. Measurements use best-of-N windows, like interp_throughput:
 // each window is a fresh measurement and the highest throughput is
 // kept, rejecting one-sided OS noise identically for every engine.
 // Emits machine-readable BENCH_sim.json so the perf trajectory is
@@ -91,13 +90,12 @@ struct Throughput {
   double Ips = 0;
 };
 
-/// Steps the ISA simulator in fixed-size batches until \p MinSeconds of
-/// wall time have elapsed.
-Throughput measureIsaSim(const std::vector<uint8_t> &Image, bool Cache,
-                         double MinSeconds) {
+/// Steps the reference ISA simulator in fixed-size batches until
+/// \p MinSeconds of wall time have elapsed.
+Throughput measureReference(const std::vector<uint8_t> &Image,
+                            double MinSeconds) {
   riscv::Machine M(64 * 1024);
   M.loadImage(0, Image);
-  M.setDecodeCacheEnabled(Cache);
   riscv::NoDevice D;
   const uint64_t Batch = 1'000'000;
   Throughput T;
@@ -113,7 +111,6 @@ Throughput measureIsaSim(const std::vector<uint8_t> &Image, bool Cache,
     T.Seconds = now() - Start;
   } while (T.Seconds < MinSeconds);
   T.Ips = T.Instructions / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  M.publishMetrics(); // raw Machine: nobody else flushes decode-cache stats
   return T;
 }
 
@@ -187,47 +184,6 @@ Throughput measureKamiCore(const std::vector<uint8_t> &Image,
   return T;
 }
 
-/// Differential mode: cached and uncached machines step side by side; any
-/// divergence in architectural state, trace, or UB verdict is a bug in
-/// the fast path.
-bool diffCachedUncached(const std::vector<uint8_t> &Image, uint64_t Steps,
-                        std::string &Error) {
-  riscv::Machine MC(64 * 1024), MU(64 * 1024);
-  MC.loadImage(0, Image);
-  MU.loadImage(0, Image);
-  MC.setDecodeCacheEnabled(true);
-  MU.setDecodeCacheEnabled(false);
-  riscv::NoDevice DC, DU;
-  for (uint64_t I = 0; I != Steps; ++I) {
-    bool SC = riscv::step(MC, DC);
-    bool SU = riscv::step(MU, DU);
-    if (SC != SU) {
-      Error = "step verdict diverged at instruction " + std::to_string(I);
-      return false;
-    }
-    if (!SC)
-      break;
-  }
-  if (MC.ubKind() != MU.ubKind()) {
-    Error = "UB verdicts differ";
-    return false;
-  }
-  if (MC.getPc() != MU.getPc()) {
-    Error = "final PCs differ";
-    return false;
-  }
-  for (unsigned R = 0; R != 32; ++R)
-    if (MC.getReg(R) != MU.getReg(R)) {
-      Error = "register x" + std::to_string(R) + " differs";
-      return false;
-    }
-  if (!(MC.trace() == MU.trace())) {
-    Error = "MMIO traces differ";
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -264,21 +220,13 @@ int main(int argc, char **argv) {
   std::string DiffError;
   bool DiffOk = true;
   for (const auto &[Name, Image] : Kernels) {
-    if (!diffCachedUncached(Image, Quick ? 200'000 : 2'000'000, DiffError)) {
-      std::fprintf(stderr, "differential FAILED on %s: %s\n", Name.c_str(),
-                   DiffError.c_str());
-      DiffOk = false;
-    }
     if (!diffBlockReference(Image, Quick ? 200'000 : 2'000'000, DiffError)) {
       std::fprintf(stderr, "block lockstep FAILED on %s: %s\n", Name.c_str(),
                    DiffError.c_str());
       DiffOk = false;
     }
-    Rows.push_back({Name, "isa_sim_uncached", bestOf([&] {
-                      return measureIsaSim(Image, false, MinSeconds);
-                    })});
-    Rows.push_back({Name, "isa_sim_cached", bestOf([&] {
-                      return measureIsaSim(Image, true, MinSeconds);
+    Rows.push_back({Name, "isa_sim_reference", bestOf([&] {
+                      return measureReference(Image, MinSeconds);
                     })});
     Rows.push_back({Name, "isa_sim_block", bestOf([&] {
                       return measureBlockEngine(Image, MinSeconds);
@@ -294,18 +242,17 @@ int main(int argc, char **argv) {
   }
 
   // Firmware end-to-end on the ISA simulator — the corpus the fleets
-  // actually spend their cycles on — across all three engine
-  // configurations: uncached interpreter, predecode fast path, and the
+  // actually spend their cycles on — on the reference stepper and the
   // superblock Block engine. Verdict, trace, retirement count, and
-  // lightbulb history must be identical across every configuration and
-  // every repetition; the Block engine is additionally run in its
-  // lockstep Differential mode, which must report zero divergences.
+  // lightbulb history must be identical across both engines and every
+  // repetition; the Block engine is additionally run in its lockstep
+  // Differential mode, which must report zero divergences.
   compiler::CompileResult C = compiler::compileProgram(
       app::buildFirmware(), compiler::CompilerOptions::o0(),
       compiler::Entry::eventLoop("lightbulb_init", "lightbulb_loop"),
       64 * 1024);
   bool FirmwareDiffOk = false;
-  double FirmwareCachedIps = 0, FirmwareUncachedIps = 0, FirmwareBlockIps = 0;
+  double FirmwareReferenceIps = 0, FirmwareBlockIps = 0;
   uint64_t FirmwareRetired = 0;
   if (C.ok()) {
     verify::E2EScenario S;
@@ -321,9 +268,7 @@ int main(int argc, char **argv) {
     // compared — the differential claim covers all of them, not just
     // one pair.
     const int FwReps = Quick ? 3 : 8;
-    auto RunMode = [&](bool Cache, riscv::ExecMode Exec,
-                       verify::E2EResult &Out) {
-      O.SimDecodeCache = Cache;
+    auto RunMode = [&](riscv::ExecMode Exec, verify::E2EResult &Out) {
       O.SimExec = Exec;
       Out = verify::runCompiledEndToEnd(*C.Prog, S, O);
       double Best = 1e99;
@@ -336,24 +281,19 @@ int main(int argc, char **argv) {
       }
       return Best;
     };
-    verify::E2EResult RC, RU, RB, RD;
-    double CachedSec = RunMode(true, riscv::ExecMode::Reference, RC);
-    double UncachedSec = RunMode(false, riscv::ExecMode::Reference, RU);
-    double BlockSec = RunMode(true, riscv::ExecMode::Block, RB);
+    verify::E2EResult RR, RB, RD;
+    double ReferenceSec = RunMode(riscv::ExecMode::Reference, RR);
+    double BlockSec = RunMode(riscv::ExecMode::Block, RB);
     O.SimExec = riscv::ExecMode::Differential; // One untimed lockstep pass.
     RD = verify::runCompiledEndToEnd(*C.Prog, S, O);
-    FirmwareDiffOk = CachedSec > 0 && UncachedSec > 0 && BlockSec > 0 &&
-                     RC.Ok == RU.Ok && RC.Trace == RU.Trace &&
-                     RC.LightHistory == RU.LightHistory &&
-                     RC.Retired == RU.Retired && RB.Ok == RC.Ok &&
-                     RB.Trace == RC.Trace &&
-                     RB.LightHistory == RC.LightHistory &&
-                     RB.Retired == RC.Retired && RD.Ok == RC.Ok &&
-                     RD.Retired == RC.Retired;
-    FirmwareCachedIps = CachedSec > 0 ? RC.Retired / CachedSec : 0;
-    FirmwareUncachedIps = UncachedSec > 0 ? RU.Retired / UncachedSec : 0;
+    FirmwareDiffOk = ReferenceSec > 0 && BlockSec > 0 && RB.Ok == RR.Ok &&
+                     RB.Trace == RR.Trace &&
+                     RB.LightHistory == RR.LightHistory &&
+                     RB.Retired == RR.Retired && RD.Ok == RR.Ok &&
+                     RD.Retired == RR.Retired;
+    FirmwareReferenceIps = ReferenceSec > 0 ? RR.Retired / ReferenceSec : 0;
     FirmwareBlockIps = BlockSec > 0 ? RB.Retired / BlockSec : 0;
-    FirmwareRetired = RC.Retired;
+    FirmwareRetired = RR.Retired;
     if (!FirmwareDiffOk) {
       std::fprintf(stderr, "differential FAILED on firmware e2e%s\n",
                    !RD.Ok ? (": " + RD.Error).c_str() : "");
@@ -363,10 +303,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "firmware compile failed: %s\n", C.Error.c_str());
     DiffOk = false;
   }
-  Rows.push_back({"firmware_e2e", "isa_sim_uncached",
-                  {FirmwareRetired, 0, FirmwareUncachedIps}});
-  Rows.push_back({"firmware_e2e", "isa_sim_cached",
-                  {FirmwareRetired, 0, FirmwareCachedIps}});
+  Rows.push_back({"firmware_e2e", "isa_sim_reference",
+                  {FirmwareRetired, 0, FirmwareReferenceIps}});
   Rows.push_back({"firmware_e2e", "isa_sim_block",
                   {FirmwareRetired, 0, FirmwareBlockIps}});
 
@@ -412,29 +350,17 @@ int main(int argc, char **argv) {
       OverheadOk = false;
     Overhead.push_back(O);
   }
-  double AluCacheSpeedup =
-      ratio(ipsOf("alu_loop", "isa_sim_cached"),
-            ipsOf("alu_loop", "isa_sim_uncached"));
-  double MemCacheSpeedup =
-      ratio(ipsOf("mem_loop", "isa_sim_cached"),
-            ipsOf("mem_loop", "isa_sim_uncached"));
   double AluBlockSpeedup = ratio(ipsOf("alu_loop", "isa_sim_block"),
-                                 ipsOf("alu_loop", "isa_sim_cached"));
+                                 ipsOf("alu_loop", "isa_sim_reference"));
   double MemBlockSpeedup = ratio(ipsOf("mem_loop", "isa_sim_block"),
-                                 ipsOf("mem_loop", "isa_sim_cached"));
-  double FwCacheSpeedup = ratio(FirmwareCachedIps, FirmwareUncachedIps);
-  double FwBlockSpeedup = ratio(FirmwareBlockIps, FirmwareCachedIps);
-  std::printf("\ndecode-cache speedup over uncached: alu_loop %s, "
-              "mem_loop %s, firmware e2e %s\n",
-              bench::withTimes(AluCacheSpeedup, 2).c_str(),
-              bench::withTimes(MemCacheSpeedup, 2).c_str(),
-              bench::withTimes(FwCacheSpeedup, 2).c_str());
-  std::printf("block-engine speedup over predecode: alu_loop %s, "
-              "mem_loop %s, firmware e2e %s\n",
+                                 ipsOf("mem_loop", "isa_sim_reference"));
+  double FwBlockSpeedup = ratio(FirmwareBlockIps, FirmwareReferenceIps);
+  std::printf("\nblock-engine speedup over the reference stepper: alu_loop "
+              "%s, mem_loop %s, firmware e2e %s\n",
               bench::withTimes(AluBlockSpeedup, 2).c_str(),
               bench::withTimes(MemBlockSpeedup, 2).c_str(),
               bench::withTimes(FwBlockSpeedup, 2).c_str());
-  std::printf("differential (cached/uncached/block lockstep): %s\n",
+  std::printf("differential (block/reference lockstep): %s\n",
               DiffOk ? "identical" : "DIVERGED");
   for (const OverheadRow &O : Overhead)
     std::printf("metrics overhead on %s block row: %.2f%% "
@@ -461,12 +387,9 @@ int main(int argc, char **argv) {
   }
   J.endArray();
   J.key("speedups").beginObject();
-  J.key("alu_loop_cached_vs_uncached").value(AluCacheSpeedup);
-  J.key("mem_loop_cached_vs_uncached").value(MemCacheSpeedup);
-  J.key("firmware_e2e_cached_vs_uncached").value(FwCacheSpeedup);
-  J.key("alu_loop_block_vs_cached").value(AluBlockSpeedup);
-  J.key("mem_loop_block_vs_cached").value(MemBlockSpeedup);
-  J.key("firmware_e2e_block_vs_cached").value(FwBlockSpeedup);
+  J.key("alu_loop_block_vs_reference").value(AluBlockSpeedup);
+  J.key("mem_loop_block_vs_reference").value(MemBlockSpeedup);
+  J.key("firmware_e2e_block_vs_reference").value(FwBlockSpeedup);
   J.endObject();
   J.key("differential").beginObject();
   J.key("kernels_ok").value(DiffOk);

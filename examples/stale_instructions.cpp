@@ -57,49 +57,22 @@ int main() {
   std::printf("  i$ word at 16 is still   %s\n\n",
               disasm(decode(Core.icache().fetch(16))).c_str());
 
-  // Software semantics: the fetch at 16 is undefined behavior. Run it
-  // twice — once with the predecoded-instruction cache (the default) and
-  // once without. The cache's invalidation set is exactly the XAddrs
-  // removal set, so it acts as a *second witness* of the discipline: the
-  // store drops the cached line and the refetch still reports
-  // FetchNotExecutable rather than replaying the stale decode.
+  // Software semantics: every fetch checks XAddrs, so the fetch at 16 is
+  // undefined behavior.
   riscv::Machine M(4096);
   M.loadImage(0, Image);
   riscv::NoDevice DevB;
   riscv::run(M, DevB, 100);
-  std::printf("ISA semantics (decode cache on):  %s at pc 16 -> %s (%s)\n",
+  std::printf("ISA semantics: %s at pc 16 -> %s (%s)\n",
               M.hasUb() ? "flagged UB" : "no UB",
               riscv::ubKindName(M.ubKind()), M.ubDetail().c_str());
-  const riscv::DecodeCacheStats &CS = M.decodeCacheStats();
-  std::printf("  decode cache: %llu hits, %llu misses, %llu lines "
-              "invalidated by the store\n",
-              (unsigned long long)CS.Hits, (unsigned long long)CS.Misses,
-              (unsigned long long)CS.Invalidations);
 
-  riscv::Machine MU(4096);
-  MU.loadImage(0, Image);
-  MU.setDecodeCacheEnabled(false);
-  riscv::NoDevice DevC;
-  riscv::run(MU, DevC, 100);
-  std::printf("ISA semantics (decode cache off): %s at pc 16 -> %s\n",
-              MU.hasUb() ? "flagged UB" : "no UB",
-              riscv::ubKindName(MU.ubKind()));
-
-  bool SameVerdict = M.ubKind() == MU.ubKind() && M.getPc() == MU.getPc() &&
-                     M.retiredInstructions() == MU.retiredInstructions();
-  std::printf("cached and uncached verdicts agree: %s\n",
-              SameVerdict ? "yes" : "NO");
-
-  // Sharper variant: execute the victim once FIRST, so its decoded form
-  // is sitting in the ISA simulator's predecode cache, then overwrite it
-  // and jump back into it. The store must drop the cached line (the
-  // invalidation set is the XAddrs removal set) and the refetch must
-  // still be flagged — never a silent replay of the stale decode.
-  std::printf("\n-- with the victim already predecoded --\n");
+  // Sharper variant: execute the victim once FIRST, then overwrite it and
+  // jump back into it. Having run the old instruction buys nothing: the
+  // store removed its address from XAddrs, so re-entry is still flagged.
+  std::printf("\n-- with the victim already executed once --\n");
   std::vector<Instr> P2;
-  std::vector<Instr> Mat2;
-  materialize(NewInstr, A0, Mat2);
-  P2.insert(P2.end(), Mat2.begin(), Mat2.end());
+  materialize(NewInstr, A0, P2);
   while (P2.size() < 2)
     P2.push_back(nop());
   P2.push_back(mkB(Opcode::Bne, A5, Zero, 16)); // pc 8: 2nd pass -> pc 24.
@@ -111,16 +84,11 @@ int main() {
 
   riscv::Machine M2(4096);
   M2.loadImage(0, instrencode(P2));
-  riscv::NoDevice DevD;
-  riscv::run(M2, DevD, 100);
-  const riscv::DecodeCacheStats &CS2 = M2.decodeCacheStats();
+  riscv::NoDevice DevC;
+  riscv::run(M2, DevC, 100);
   std::printf("victim executed once (a1 = %u), then overwritten: %s (%s)\n",
               M2.getReg(A1), riscv::ubKindName(M2.ubKind()),
               M2.ubDetail().c_str());
-  std::printf("  decode cache: %llu hits, %llu misses, %llu line(s) "
-              "invalidated by the store\n",
-              (unsigned long long)CS2.Hits, (unsigned long long)CS2.Misses,
-              (unsigned long long)CS2.Invalidations);
 
   std::printf("\nthe compiler-correctness proof obligates compiled code "
               "never to reach this state:\nevery store removes its "
@@ -128,8 +96,9 @@ int main() {
               "(section 5.6).\n");
 
   bool Demo = Core.getReg(A1) == 7 &&
-              M.ubKind() == riscv::UbKind::FetchNotExecutable && SameVerdict &&
+              M.ubKind() == riscv::UbKind::FetchNotExecutable &&
+              M.getPc() == 16 &&
               M2.ubKind() == riscv::UbKind::FetchNotExecutable &&
-              M2.getReg(A1) == 7 && CS2.Invalidations > 0 && CS2.Hits > 0;
+              M2.getPc() == 12 && M2.getReg(A1) == 7;
   return Demo ? 0 : 1;
 }

@@ -25,7 +25,7 @@
 /// identically. ExecMode::Differential (bedrock2/Semantics.h) enforces
 /// this equivalence on every run, making the bytecode engine a second
 /// semantics witness in the same two-path style as the ISA simulator's
-/// predecoded-instruction cache (DESIGN.md section 4).
+/// superblock trace engine (DESIGN.md section 4).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -25,42 +25,28 @@ bool b2::riscv::step(Machine &M, MmioDevice &Device) {
   if (M.hasUb())
     return false;
 
-  // Fetch. A valid predecoded line witnesses that the slow-path checks
-  // below all pass (its invalidation set is exactly the XAddrs removal
-  // set of section 5.6, plus host-level RAM pokes), so a hit skips them
-  // without changing any outcome — in particular, a store over a cached
-  // instruction drops the line and the refetch still reports
-  // FetchNotExecutable.
+  // Fetch. The XAddrs check encodes the stale-instruction discipline
+  // (section 5.6): addresses written by stores are no longer executable.
   Word Pc = M.getPc();
-  const Instr *IP = M.cachedInstr(Pc);
-  Instr Slow;
-  if (!IP) {
-    // Slow path: the XAddrs check encodes the stale-instruction
-    // discipline (section 5.6): addresses written by stores are no
-    // longer executable.
-    if (!isAligned(Pc, 4)) {
-      M.markUb(UbKind::FetchMisaligned, "pc = " + hex32(Pc));
-      return false;
-    }
-    if (!M.inRam(Pc, 4)) {
-      M.markUb(UbKind::FetchUnmapped, "pc = " + hex32(Pc));
-      return false;
-    }
-    if (!M.isExecutable(Pc)) {
-      M.markUb(UbKind::FetchNotExecutable, "pc = " + hex32(Pc));
-      return false;
-    }
-    Word Raw = M.readRam(Pc, 4);
-    Slow = decode(Raw);
-    if (!Slow.isValid()) {
-      M.markUb(UbKind::InvalidInstruction,
-               "word " + hex32(Raw) + " at pc " + hex32(Pc));
-      return false;
-    }
-    M.fillDecodeCache(Pc, Slow);
-    IP = &Slow;
+  if (!isAligned(Pc, 4)) {
+    M.markUb(UbKind::FetchMisaligned, "pc = " + hex32(Pc));
+    return false;
   }
-  const Instr &I = *IP;
+  if (!M.inRam(Pc, 4)) {
+    M.markUb(UbKind::FetchUnmapped, "pc = " + hex32(Pc));
+    return false;
+  }
+  if (!M.isExecutable(Pc)) {
+    M.markUb(UbKind::FetchNotExecutable, "pc = " + hex32(Pc));
+    return false;
+  }
+  Word Raw = M.loadWordFast(Pc);
+  const Instr I = decode(Raw);
+  if (!I.isValid()) {
+    M.markUb(UbKind::InvalidInstruction,
+             "word " + hex32(Raw) + " at pc " + hex32(Pc));
+    return false;
+  }
 
   Word NextPc = Pc + 4;
 

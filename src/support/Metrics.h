@@ -57,10 +57,6 @@ namespace metrics {
 /// log2 histogram plus count and sum (Timer values are nanoseconds and
 /// always Nondet).
 #define B2_METRIC_LIST(X)                                                      \
-  /* riscv: predecode cache */                                                 \
-  X(SimDecodeHits, "sim.decode.hits", Counter, Det)                            \
-  X(SimDecodeMisses, "sim.decode.misses", Counter, Det)                        \
-  X(SimDecodeInvalidations, "sim.decode.invalidations", Counter, Det)          \
   /* riscv: superblock trace engine */                                         \
   X(SimBlockTranslations, "sim.block.translations", Counter, Det)              \
   X(SimBlockKilled, "sim.block.blocks_killed", Counter, Det)                   \

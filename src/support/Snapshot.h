@@ -7,14 +7,13 @@
 /// \file
 /// Building blocks for the whole-machine checkpoint/restore layer.
 ///
-/// CowTracker<T> snapshots a large std::vector<T> (RAM, BRAM, decode
-/// cache) in O(dirty pages): the tracked vector is divided into
-/// fixed-size pages, mutation sites call markDirty, and snapshot()
-/// materializes immutable shared pages only for the dirty ones, reusing
-/// the clean base pages by pointer. restore() copies back only the pages
-/// that differ from the machine's current base, and reports which ones
-/// it touched so callers can fix up derived state (e.g. predecode
-/// lines).
+/// CowTracker<T> snapshots a large std::vector<T> (RAM, BRAM) in
+/// O(dirty pages): the tracked vector is divided into fixed-size pages,
+/// mutation sites call markDirty, and snapshot() materializes immutable
+/// shared pages only for the dirty ones, reusing the clean base pages by
+/// pointer. restore() copies back only the pages that differ from the
+/// machine's current base, and reports which ones it touched so callers
+/// can fix up derived state.
 ///
 /// ChainTracker<T> snapshots an append-only vector (MMIO traces, label
 /// traces, accepted-frame logs) as a delta chain: each snapshot node

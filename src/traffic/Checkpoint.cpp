@@ -193,8 +193,6 @@ void SoakMachine::restore(const Snapshot &S) {
 void SoakMachine::publishMetrics() {
   if (Engine)
     Engine->publishMetrics();
-  else if (Sim)
-    Sim->publishMetrics();
 }
 
 //===----------------------------------------------------------------------===//
@@ -439,9 +437,9 @@ b2::traffic::warmBootMachine(const compiler::CompiledProgram &Prog,
     auto M = std::make_unique<SoakMachine>(Prog, Options.Core,
                                            Options.RamBytes, Options.SimExec);
     M->restore(E.Snap);
-    // While paused this publishes nothing but still rebases the engine
-    // and decode-cache publication baselines, so the restore-time flush
-    // never leaks into the shard's deltas.
+    // While paused this publishes nothing but still rebases the engine's
+    // publication baseline, so the restore-time flush never leaks into
+    // the shard's deltas.
     M->publishMetrics();
     return M;
   }

@@ -70,7 +70,7 @@ class SoakMachine {
 public:
   SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
               Word RamBytes,
-              riscv::ExecMode SimExec = riscv::ExecMode::Reference);
+              riscv::ExecMode SimExec = riscv::ExecMode::Block);
 
   /// Runs up to \p Cycles. Returns the number actually executed (the ISA
   /// simulator stops early on UB; the Kami cores always run the full
@@ -107,12 +107,12 @@ public:
 
   // -- Snapshot/restore ------------------------------------------------------
 
-  /// Whole-system checkpoint. Memory-bearing components (RAM, BRAM,
-  /// decode cache) snapshot copy-on-write pages; append-only logs
-  /// (traces, labels, delivered/accepted frames) snapshot O(delta)
-  /// chains; latches and counters copy flat. Taking and restoring a
-  /// snapshot is O(dirty pages + new log entries), which is what makes
-  /// per-injection checkpointing affordable.
+  /// Whole-system checkpoint. Memory-bearing components (RAM, BRAM)
+  /// snapshot copy-on-write pages; append-only logs (traces, labels,
+  /// delivered/accepted frames) snapshot O(delta) chains; latches and
+  /// counters copy flat. Taking and restoring a snapshot is O(dirty
+  /// pages + new log entries), which is what makes per-injection
+  /// checkpointing affordable.
   struct Snapshot {
     std::optional<riscv::Machine::Snapshot> Sim;
     std::optional<kami::Bram::Snapshot> Mem;
@@ -136,11 +136,12 @@ public:
   /// cross-machine restore is merely slower, never wrong.
   void restore(const Snapshot &S);
 
-  /// Publishes the simulator-side metric deltas (engine + decode cache)
-  /// accumulated since the last publication. Called at shard-stat
-  /// collection, and — under metrics::PauseScope — by the warm-boot path
-  /// to rebase the publication baselines so warm and cold shards publish
-  /// identical shard-only deltas. No-op for the Kami cores.
+  /// Publishes the trace engine's metric deltas accumulated since the
+  /// last publication. Called at shard-stat collection, and — under
+  /// metrics::PauseScope — by the warm-boot path to rebase the
+  /// publication baseline so warm and cold shards publish identical
+  /// shard-only deltas. No-op for the Kami cores and the reference
+  /// stepper.
   void publishMetrics();
 
 private:

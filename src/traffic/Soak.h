@@ -58,12 +58,12 @@ const char *soakCoreName(SoakCore C);
 struct SoakOptions {
   SoakCore Core = SoakCore::Pipelined;
   /// Execution engine of the ISA simulator (SoakCore::IsaSim only):
-  /// Reference steps through the predecoded fast path, Block runs the
-  /// superblock trace engine, Differential runs both in lockstep and
-  /// fails the shard on the first divergence. Shard results are
-  /// bit-identical across all three modes by construction — the engine
-  /// retires the same instruction schedule as the stepper.
-  riscv::ExecMode SimExec = riscv::ExecMode::Reference;
+  /// Block (the default) runs the superblock trace engine, Reference the
+  /// reference stepper alone, Differential both in lockstep, failing the
+  /// shard on the first divergence. Shard results are bit-identical
+  /// across all three modes by construction — the engine retires the
+  /// same instruction schedule as the stepper.
+  riscv::ExecMode SimExec = riscv::ExecMode::Block;
   unsigned Threads = 1;      ///< Worker threads (report-invariant).
   /// Shards to split the stream into; 0 derives one shard per
   /// FramesPerShard frames. Must not depend on Threads, or the report

@@ -23,7 +23,6 @@
 #include "isa/Encoding.h"
 #include "riscv/BlockEngine.h"
 #include "riscv/Machine.h"
-#include "riscv/Step.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
@@ -38,7 +37,6 @@
 #include "verify/Refinement.h"
 #include "vc/Vc.h"
 
-#include <array>
 #include <functional>
 
 using namespace b2;
@@ -60,8 +58,6 @@ const char *b2::verify::checkerName(Checker C) {
     return "EndToEnd";
   case Checker::DecodeConsistency:
     return "DecodeConsistency";
-  case Checker::SimCacheDiff:
-    return "SimCacheDiff";
   case Checker::SoakMonitor:
     return "SoakMonitor";
   case Checker::SnapDiff:
@@ -522,106 +518,6 @@ std::vector<Stim> decodeConsistencyStims() {
   };
 }
 
-// -- SimCacheDiff column -----------------------------------------------------
-//
-// The adequacy campaign's own checker: the same image runs on two ISA
-// simulators, predecoded fast path on vs. off, and the architectural
-// outcome (registers, PC, UB verdict, trace, retirement count) must be
-// identical — the executable form of the fast path's "no architectural
-// effect" claim, and the only column that can own the decode-cache
-// invalidation discipline.
-
-struct SimRun {
-  std::array<Word, 32> Regs{};
-  Word Pc = 0;
-  riscv::UbKind Ub = riscv::UbKind::None;
-  uint64_t Retired = 0;
-  riscv::MmioTrace Trace;
-};
-
-SimRun runSimOnce(const std::vector<uint8_t> &Image, Word HaltPc, bool Cache,
-                  uint64_t MaxRetired) {
-  riscv::Machine M(64 * 1024);
-  M.setDecodeCacheEnabled(Cache);
-  M.loadImage(0, Image);
-  riscv::NoDevice Dev;
-  while (!M.hasUb() && M.getPc() != HaltPc &&
-         M.retiredInstructions() < MaxRetired)
-    if (!riscv::step(M, Dev))
-      break;
-  SimRun R;
-  for (unsigned I = 0; I != 32; ++I)
-    R.Regs[I] = M.getReg(I);
-  R.Pc = M.getPc();
-  R.Ub = M.ubKind();
-  R.Retired = M.retiredInstructions();
-  R.Trace = M.trace();
-  return R;
-}
-
-bool simCacheDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
-                       uint64_t MaxRetired = 10'000) {
-  std::vector<uint8_t> Image = isa::instrencode(P);
-  Word HaltPc = Word(Image.size());
-  SimRun A = runSimOnce(Image, HaltPc, /*Cache=*/true, MaxRetired);
-  SimRun B = runSimOnce(Image, HaltPc, /*Cache=*/false, MaxRetired);
-  if (A.Ub != B.Ub) {
-    Detail = std::string("UB verdict differs: cached ") +
-             riscv::ubKindName(A.Ub) + " vs uncached " +
-             riscv::ubKindName(B.Ub);
-    return true;
-  }
-  if (A.Pc != B.Pc || A.Regs != B.Regs) {
-    Detail = "architectural state differs between cached and uncached runs";
-    return true;
-  }
-  if (A.Retired != B.Retired) {
-    Detail = "retirement counts differ: cached " +
-             std::to_string(A.Retired) + " vs uncached " +
-             std::to_string(B.Retired);
-    return true;
-  }
-  if (!(A.Trace == B.Trace)) {
-    Detail = "MMIO traces differ between cached and uncached runs";
-    return true;
-  }
-  return false;
-}
-
-std::vector<Stim> simCacheDiffStims() {
-  using namespace isa;
-  return {
-      // The section-5.6 hazard, in miniature: execute an instruction (so
-      // its decode is cached), overwrite it with a store, branch back to
-      // it. Both runs must reach the same verdict — with the discipline
-      // intact, FetchNotExecutable at the patched PC.
-      {"patch-refetch", [](std::string &D) {
-         std::vector<Instr> P;
-         Word NewWord = encode(addi(A0, A0, 2));
-         materialize(NewWord, A4, P);   // 2 instructions.
-         P.push_back(addi(A5, Zero, 0));
-         P.push_back(addi(A5, A5, 1));  // Loop head, index 3.
-         P.push_back(addi(A0, A0, 1));  // Victim, index 4 (address 16).
-         P.push_back(sw(Zero, A4, 16)); // Patch the victim.
-         P.push_back(addi(A6, Zero, 2));
-         P.push_back(mkB(Opcode::Blt, A5, A6, -16)); // Back to the head.
-         return simCacheDiffFails(P, D);
-       }},
-      // Plain straight-line-plus-loop code (no self-modification): the
-      // fast path must be invisible here too.
-      {"plain-loop", [](std::string &D) {
-         std::vector<Instr> P;
-         P.push_back(addi(A0, Zero, 0));
-         P.push_back(addi(A1, Zero, 12));
-         P.push_back(addi(A0, A0, 3));
-         P.push_back(mkB(Opcode::Blt, A0, A1, -4));
-         P.push_back(sw(Zero, A0, 0x400));
-         P.push_back(lw(A2, Zero, 0x400));
-         return simCacheDiffFails(P, D);
-       }},
-  };
-}
-
 // -- SoakMonitor column ------------------------------------------------------
 //
 // The traffic layer's own checks: seeded scenario generation must be
@@ -997,8 +893,6 @@ std::vector<Stim> columnStims(Checker C) {
     return endToEndStims();
   case Checker::DecodeConsistency:
     return decodeConsistencyStims();
-  case Checker::SimCacheDiff:
-    return simCacheDiffStims();
   case Checker::SoakMonitor:
     return soakMonitorStims();
   case Checker::SnapDiff:
@@ -1050,12 +944,12 @@ const fi::FaultInfo *infoFor(fi::Fault F) {
 } // namespace
 
 std::vector<fi::Fault> b2::verify::quickFaultSet() {
-  // One or two faults per layer; all eleven owner columns exercised.
+  // One or two faults per layer; all ten owner columns exercised.
   return {
       fi::Fault::CompilerImmTruncate,
       fi::Fault::CompilerStackallocNoZero,
       fi::Fault::SimSraLogicalShift,
-      fi::Fault::SimDecodeCacheNoInvalidate,
+      fi::Fault::SimStoreKeepsXAddrs,
       fi::Fault::SimBlockStaleSuperblock,
       fi::Fault::KamiBtbNoSquash,
       fi::Fault::KamiMemWrongByteEnable,

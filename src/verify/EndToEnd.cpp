@@ -34,7 +34,6 @@ public:
     case CoreKind::IsaSim:
       Sim = std::make_unique<riscv::Machine>(Options.RamBytes);
       Sim->loadImage(0, Prog.image());
-      Sim->setDecodeCacheEnabled(Options.SimDecodeCache);
       if (Options.SimExec != riscv::ExecMode::Reference)
         Engine =
             std::make_unique<riscv::BlockEngine>(*Sim, Plat, Options.SimExec);

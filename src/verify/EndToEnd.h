@@ -61,15 +61,12 @@ struct E2EOptions {
   compiler::CompilerOptions Compiler = compiler::CompilerOptions::o0();
   uint64_t MaxCycles = 400'000'000;
   uint64_t DrainChunk = 200'000;   ///< Cycles per drain-check chunk.
-  /// Predecoded-instruction fast path of the ISA simulator (CoreKind::
-  /// IsaSim only). On by default; the switch exists so cached and
-  /// uncached runs can be compared differentially in one binary.
-  bool SimDecodeCache = true;
   /// Execution engine of the ISA simulator (CoreKind::IsaSim only).
-  /// Block runs the superblock trace engine; Differential additionally
-  /// checks it in lockstep against the reference stepper and fails the
-  /// run on the first divergence.
-  riscv::ExecMode SimExec = riscv::ExecMode::Reference;
+  /// Block (the default) runs the superblock trace engine, Reference
+  /// the reference stepper alone; Differential additionally checks the
+  /// engine in lockstep against the reference stepper and fails the run
+  /// on the first divergence.
+  riscv::ExecMode SimExec = riscv::ExecMode::Block;
 };
 
 /// A packet arrival script (op-count scheduled; see devices/Platform.h).

@@ -39,14 +39,9 @@ const std::vector<FaultInfo> &b2::fi::faultRegistry() {
        "blt takes the bge condition"},
       {Fault::SimLhWrongWidth, "sim-lh-wrong-width", "sim", "Lockstep",
        "lh sign-extends from bit 7 instead of bit 15"},
-      {Fault::SimStoreKeepsXAddrs, "sim-store-keeps-xaddrs", "sim",
-       "SimCacheDiff",
+      {Fault::SimStoreKeepsXAddrs, "sim-store-keeps-xaddrs", "sim", "Lockstep",
        "stores skip the section-5.6 discipline: stored bytes stay in "
-       "XAddrs and stale decode-cache lines survive"},
-      {Fault::SimDecodeCacheNoInvalidate, "sim-decode-cache-no-invalidate",
-       "sim", "SimCacheDiff",
-       "XAddrs removal no longer drops overlapping decode-cache lines "
-       "(invalidation set != removal set)"},
+       "XAddrs"},
       {Fault::SimBlockStaleSuperblock, "sim-stale-superblock-after-invalidate",
        "sim", "BlockDiff",
        "decode invalidation no longer kills the owning superblocks, so "

@@ -186,14 +186,14 @@ TEST(Checkpoint, SoakMachineRestoreReplaysIdentically) {
 
 TEST(Checkpoint, DifferentialFuzzOnIsaSim) {
   // Random depths, random frame counts, a rotating set of seeded fault
-  // plans (device, traffic, and sim-cache bugs — all deterministic, so
+  // plans (device, traffic, and simulator bugs — all deterministic, so
   // they apply to both runs equally and must never break identity).
   const fi::Fault Plans[] = {
       fi::Fault::NumFaults, // No fault armed.
       fi::Fault::DevLanRxByteOrder,
       fi::Fault::TrafficMonitorDropEvent,
       fi::Fault::DevSpiStaleRead,
-      fi::Fault::SimDecodeCacheNoInvalidate,
+      fi::Fault::SimStoreKeepsXAddrs,
   };
   support::Rng R(0xC0FFEE);
   for (unsigned Trial = 0; Trial != 10; ++Trial) {
@@ -205,6 +205,7 @@ TEST(Checkpoint, DifferentialFuzzOnIsaSim) {
 
     SoakOptions O;
     O.Core = SoakCore::IsaSim;
+    O.SimExec = riscv::ExecMode::Reference; // Block: next test.
     fi::FaultPlan Plan;
     if (F != fi::Fault::NumFaults) {
       Plan = fi::FaultPlan::single(F);
@@ -230,7 +231,7 @@ TEST(Checkpoint, DifferentialFuzzWithBlockEngine) {
   const fi::Fault Plans[] = {
       fi::Fault::NumFaults, // No fault armed.
       fi::Fault::DevLanRxByteOrder,
-      fi::Fault::SimDecodeCacheNoInvalidate,
+      fi::Fault::SimStoreKeepsXAddrs,
   };
   support::Rng R(0xB10C);
   unsigned Trial = 0;

@@ -20,7 +20,6 @@
 #include "isa/Encoding.h"
 #include "riscv/BlockEngine.h"
 #include "riscv/Machine.h"
-#include "riscv/Step.h"
 #include "verify/ParallelDriver.h"
 
 #include <gtest/gtest.h>
@@ -214,50 +213,6 @@ TEST(MetricsDeterminism, BlockEngineFleetInvariantAcrossThreadCounts) {
   EXPECT_GT(S1.counter(Id::SimBlockTraceInstrs), 0u);
   // Each shard translates its loop block and its halt spin.
   EXPECT_EQ(S1.counter(Id::SimBlockTranslations), 2 * Seeds.size());
-}
-
-TEST(MetricsConsistency, MachineRestoreRebasesPublishedTotals) {
-  REQUIRE_METRICS();
-  // Publish-then-rebase across Machine::restore: replaying a leg from a
-  // snapshot publishes exactly the same Det deltas as the original leg
-  // did — no loss, no double counting, no underflow from rewinding the
-  // cache statistics to the snapshot's (smaller) values.
-  std::vector<Instr> Loop = {
-      addi(A0, Zero, 0),
-      addi(A0, A0, 1),
-      jal(Zero, -4),
-  };
-  riscv::Machine M(4096);
-  M.loadImage(0, instrencode(Loop));
-  M.setDecodeCacheEnabled(true);
-  riscv::NoDevice D;
-
-  resetAll();
-  ASSERT_EQ(riscv::run(M, D, 1000), 1000u);
-  M.publishMetrics();
-  Snapshot A = snapshot();
-  riscv::Machine::Snapshot Saved = M.snapshot();
-
-  ASSERT_EQ(riscv::run(M, D, 500), 500u);
-  M.publishMetrics();
-  Snapshot B = snapshot();
-
-  M.restore(Saved); // Publishes pending deltas, then rebases.
-  ASSERT_EQ(riscv::run(M, D, 500), 500u);
-  M.publishMetrics();
-  Snapshot C = snapshot();
-
-  uint64_t Leg1Hits =
-      B.counter(Id::SimDecodeHits) - A.counter(Id::SimDecodeHits);
-  uint64_t Leg2Hits =
-      C.counter(Id::SimDecodeHits) - B.counter(Id::SimDecodeHits);
-  EXPECT_EQ(Leg1Hits, Leg2Hits);
-  uint64_t Leg1Misses =
-      B.counter(Id::SimDecodeMisses) - A.counter(Id::SimDecodeMisses);
-  uint64_t Leg2Misses =
-      C.counter(Id::SimDecodeMisses) - B.counter(Id::SimDecodeMisses);
-  EXPECT_EQ(Leg1Misses, Leg2Misses);
-  EXPECT_EQ(Leg1Hits + Leg1Misses, 500u);
 }
 
 TEST(MetricsJsonReport, SchemaAndScopeSplit) {

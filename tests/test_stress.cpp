@@ -443,7 +443,7 @@ TEST(BlockEngineFuzz, LockstepHoldsUnderSimulatorFaultPlans) {
       fi::Fault::SimSraLogicalShift,
       fi::Fault::SimBranchLtAsGe,
       fi::Fault::SimStoreKeepsXAddrs,
-      fi::Fault::SimDecodeCacheNoInvalidate,
+      fi::Fault::SimLhWrongWidth,
   };
   support::Rng R(0xFA0175);
   for (unsigned Trial = 0; Trial != 8; ++Trial) {
