@@ -82,9 +82,9 @@ public:
   /// Block checkpoint, including the light-transition ground truth so a
   /// restored run reports the identical history.
   struct Snapshot {
-    Word OutputEn;
-    Word OutputVal;
-    bool LastLight;
+    Word OutputEn = 0;
+    Word OutputVal = 0;
+    bool LastLight = false;
     std::vector<bool> LightHistory;
   };
 

@@ -161,18 +161,18 @@ public:
   /// file, MAC CSR block, bring-up countdown, and the buffered RX frames
   /// with their read cursors. All plain values — a copy is exact.
   struct Snapshot {
-    SpiState State;
-    uint8_t Command;
-    Word Address;
-    Word Assembly;
-    unsigned ByteCount;
-    Word ReadLatch;
+    SpiState State = SpiState::Idle;
+    uint8_t Command = 0;
+    Word Address = 0;
+    Word Assembly = 0;
+    unsigned ByteCount = 0;
+    Word ReadLatch = 0;
     std::unordered_map<Word, Word> Regs;
-    Word MacRegs[16];
-    Word MacCsrDataReg;
-    unsigned NotReadyLeft;
+    Word MacRegs[16] = {};
+    Word MacCsrDataReg = 0;
+    unsigned NotReadyLeft = 0;
     std::deque<PendingFrame> RxQueue;
-    bool CrossFrameOnSeen;
+    bool CrossFrameOnSeen = false;
   };
 
   Snapshot snapshot() const;

@@ -100,9 +100,9 @@ public:
     Lan9250::Snapshot Nic;
     Spi::Snapshot SpiCtrl;
     Gpio::Snapshot GpioBlock;
-    uint64_t OpCount;
+    uint64_t OpCount = 0;
     std::vector<ScheduledFrame> Pending;
-    size_t NextPending;
+    size_t NextPending = 0;
     support::ChainTracker<ScheduledFrame>::Snap Accepted;
   };
 

@@ -115,15 +115,15 @@ public:
   /// the exact reply schedule.
   struct Snapshot {
     std::deque<PendingRx> RxFifo;
-    Word CsModeReg;
-    Word SckDivReg;
-    Word CsIdReg;
-    Word CsDefReg;
-    bool CsAsserted;
-    uint64_t Exchanges;
-    uint64_t OpClock;
-    uint64_t ShifterFreeAt;
-    Word LastPopped;
+    Word CsModeReg = 0;
+    Word SckDivReg = 0;
+    Word CsIdReg = 0;
+    Word CsDefReg = 0;
+    bool CsAsserted = false;
+    uint64_t Exchanges = 0;
+    uint64_t OpClock = 0;
+    uint64_t ShifterFreeAt = 0;
+    Word LastPopped = 0;
   };
 
   Snapshot snapshot() const;

@@ -17,6 +17,7 @@
 #define B2_KAMI_LABELS_H
 
 #include "riscv/Mmio.h"
+#include "support/Snapshot.h"
 #include "support/Word.h"
 
 #include <cstdint>
@@ -44,26 +45,49 @@ struct Label {
 
 using LabelTrace = std::vector<Label>;
 
-/// Incremental KamiLabelSeqR: appends the images of Labels[From..) to
-/// \p Out and returns the new conversion watermark. Lets pollers keep a
-/// converted trace up to date without rebuilding it from scratch.
-inline size_t appendKamiLabelSeqR(const LabelTrace &Labels, size_t From,
-                                  riscv::MmioTrace &Out) {
-  Out.reserve(Out.size() + (Labels.size() - From));
-  for (size_t I = From; I < Labels.size(); ++I) {
-    const Label &L = Labels[I];
-    Out.push_back(riscv::MmioEvent{L.MethodKind == Label::Kind::MmioStore,
-                                   L.Addr, L.Value, L.Size});
+/// The paper's KamiLabelSeqR, kept current over a growing label sequence:
+/// maps each Kami label to the ("ld"|"st", addr, value) triple of the
+/// application-level trace predicates. update() converts only the labels
+/// appended since the previous call and grows the image by push_back
+/// alone, so keeping it current costs amortised O(1) per event however
+/// often it is polled. Snapshot/restore carry the image as a delta chain
+/// plus the label watermark, like every other append-only log.
+class LabelSeqConverter {
+public:
+  /// Brings the image up to date with \p Labels, which must extend the
+  /// sequence passed to the previous call, and returns it.
+  const riscv::MmioTrace &update(const LabelTrace &Labels) {
+    for (; Watermark < Labels.size(); ++Watermark) {
+      const Label &L = Labels[Watermark];
+      Trace.push_back(riscv::MmioEvent{L.MethodKind == Label::Kind::MmioStore,
+                                       L.Addr, L.Value, L.Size});
+    }
+    return Trace;
   }
-  return Labels.size();
-}
 
-/// The paper's KamiLabelSeqR: maps a Kami label sequence to the ("ld"|"st",
-/// addr, value) triples of the application-level trace predicates.
+  const riscv::MmioTrace &trace() const { return Trace; }
+
+  struct Snapshot {
+    support::ChainTracker<riscv::MmioEvent>::Snap Trace;
+    size_t Watermark = 0;
+  };
+
+  Snapshot snapshot() { return Snapshot{Chain.snapshot(Trace), Watermark}; }
+
+  void restore(const Snapshot &S) {
+    Chain.restore(Trace, S.Trace);
+    Watermark = S.Watermark;
+  }
+
+private:
+  riscv::MmioTrace Trace;
+  size_t Watermark = 0; ///< Labels converted so far.
+  support::ChainTracker<riscv::MmioEvent> Chain;
+};
+
+/// One-shot KamiLabelSeqR over a complete label sequence.
 inline riscv::MmioTrace kamiLabelSeqR(const LabelTrace &Labels) {
-  riscv::MmioTrace Out;
-  appendKamiLabelSeqR(Labels, 0, Out);
-  return Out;
+  return LabelSeqConverter().update(Labels);
 }
 
 } // namespace kami

@@ -84,10 +84,10 @@ private:
 /// *not* update it — that is the stale-instruction hazard of section 5.6,
 /// which the software side must avoid via the XAddrs discipline.
 ///
-/// Because the snapshot never changes after reset, each line's decode is
-/// computed once (lazily, on first fetch from that line) and reused by
-/// every later fetch — a host-simulation fast path with no architectural
-/// effect: fetchDecoded(pc) == decodeInst(fetch(pc)) for every pc, by
+/// Because the snapshot never changes after reset, every line is decoded
+/// once, when the cache is built, and every fetch reuses that decode — a
+/// host-simulation fast path with no architectural effect:
+/// fetchDecoded(pc) == decodeInst(fetch(pc)) for every pc, by
 /// construction.
 class ICache {
 public:
@@ -99,30 +99,27 @@ public:
                  // lines keep their power-on zeros.
     for (Word I = 0; I != Fill; ++I)
       Lines[I] = Mem.readWord(I * 4);
-    Decoded.resize(Lines.size());
-    DecodedValid.resize(Lines.size(), false);
+    Decoded.reserve(Lines.size());
+    for (Word Line : Lines)
+      Decoded.push_back(decodeInst(Line));
   }
 
-  Word fetch(Word Pc) const { return Lines[(Pc / 4) % Word(Lines.size())]; }
+  Word fetch(Word Pc) const { return Lines[line(Pc)]; }
 
   /// Predecoded fetch for the core models' frontends.
-  const DecodedInst &fetchDecoded(Word Pc) const {
-    Word I = (Pc / 4) % Word(Lines.size());
-    if (!DecodedValid[I]) {
-      Decoded[I] = decodeInst(Lines[I]);
-      DecodedValid[I] = true;
-    }
-    return Decoded[I];
-  }
+  const DecodedInst &fetchDecoded(Word Pc) const { return Decoded[line(Pc)]; }
 
   Word sizeWords() const { return Word(Lines.size()); }
 
 private:
+  /// Line serving \p Pc; fetches past the end wrap around the cache.
+  Word line(Word Pc) const {
+    Word I = Pc / 4;
+    return I < Lines.size() ? I : I % Word(Lines.size());
+  }
+
   std::vector<Word> Lines;
-  // Memoized decodes; mutable because filling the memo is not an
-  // architectural state change (the snapshot itself is immutable).
-  mutable std::vector<DecodedInst> Decoded;
-  mutable std::vector<bool> DecodedValid;
+  std::vector<DecodedInst> Decoded; ///< decodeInst of each line.
 };
 
 } // namespace kami

@@ -6,6 +6,7 @@
 
 #include "kami/PipelinedCore.h"
 
+#include "support/Metrics.h"
 #include "verify/FaultInjection.h"
 
 #include <cassert>
@@ -158,7 +159,7 @@ void PipelinedCore::stageDecode() {
   FetchOut &F = *F2D;
 
   // Predecoded fetch from the immutable reset snapshot; identical to
-  // decodeInst(F.Raw) by the ICache invariant.
+  // decodeInst(IMem.fetch(F.Pc)) by the ICache invariant.
   const DecodedInst &D = IMem.fetchDecoded(F.Pc);
 
   // Scoreboard with an optional forwarding path: an operand whose only
@@ -213,7 +214,6 @@ void PipelinedCore::stageFetch() {
     return;
   FetchOut Out;
   Out.Pc = FetchPc;
-  Out.Raw = IMem.fetch(FetchPc);
   Out.PredictedNext = predictNext(FetchPc);
   FetchPc = Out.PredictedNext;
   F2D = Out;
@@ -249,6 +249,18 @@ void PipelinedCore::run(uint64_t N) {
     tick();
 }
 
+void PipelinedCore::publishMetrics() {
+  using metrics::Id;
+  metrics::add(Id::KamiPipeCycles, Stats.Cycles - Published.Cycles);
+  metrics::add(Id::KamiPipeRetired, Stats.Retired - Published.Retired);
+  metrics::add(Id::KamiPipeRawStalls, Stats.RawStalls - Published.RawStalls);
+  metrics::add(Id::KamiPipeMispredicts,
+               Stats.Mispredicts - Published.Mispredicts);
+  metrics::add(Id::KamiPipeMmioStalls, Stats.MmioStalls - Published.MmioStalls);
+  metrics::add(Id::KamiPipeFillCycles, Stats.FillCycles - Published.FillCycles);
+  Published = Stats;
+}
+
 PipelinedCore::Snapshot PipelinedCore::snapshot() {
   Snapshot S;
   S.Stats = Stats;
@@ -267,7 +279,9 @@ PipelinedCore::Snapshot PipelinedCore::snapshot() {
 }
 
 void PipelinedCore::restore(const Snapshot &S) {
+  publishMetrics();
   Stats = S.Stats;
+  Published = Stats;
   std::copy(std::begin(S.Regs), std::end(S.Regs), std::begin(Regs));
   FetchPc = S.FetchPc;
   CommitPc = S.CommitPc;

@@ -106,13 +106,17 @@ public:
   const PipeStats &stats() const { return Stats; }
   const LabelTrace &labels() const { return Labels; }
 
+  /// Publishes the stat deltas since the last publish to the global
+  /// metrics registry (kami.pipe.*). Call at run/chunk boundaries; the
+  /// cycle loop itself never touches the registry.
+  void publishMetrics();
+
 private:
   // -- Pipeline registers ----------------------------------------------------
 
   struct FetchOut {
     Word Pc = 0;
     Word PredictedNext = 0;
-    Word Raw = 0;
   };
 
   struct DecodeOut {
@@ -142,6 +146,7 @@ private:
   ICache IMem;
   PipeConfig Config;
   PipeStats Stats;
+  PipeStats Published; ///< publishMetrics() baseline.
 
   Word Regs[32] = {};
   Word FetchPc = 0;
@@ -180,6 +185,9 @@ public:
   };
 
   Snapshot snapshot();
+  /// Rewinds the stats with the rest of the core: deltas accumulated
+  /// before the restore are published first, and the baseline moves to
+  /// the restored stats, so later publications count only new cycles.
   void restore(const Snapshot &S);
 
 private:

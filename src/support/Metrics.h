@@ -74,6 +74,13 @@ namespace metrics {
   X(SimBlockFusedRetired, "sim.block.fused_retired", Counter, Det)             \
   X(SimBlockInvalProbes, "sim.block.inval_probes", Counter, Det)               \
   X(SimBlockWeight, "sim.block.block_weight", Hist, Det)                       \
+  /* kami: pipelined core (PipeStats) */                                      \
+  X(KamiPipeCycles, "kami.pipe.cycles", Counter, Det)                          \
+  X(KamiPipeRetired, "kami.pipe.retired", Counter, Det)                        \
+  X(KamiPipeRawStalls, "kami.pipe.raw_stalls", Counter, Det)                   \
+  X(KamiPipeMispredicts, "kami.pipe.mispredicts", Counter, Det)                \
+  X(KamiPipeMmioStalls, "kami.pipe.mmio_stalls", Counter, Det)                 \
+  X(KamiPipeFillCycles, "kami.pipe.fill_cycles", Counter, Det)                 \
   /* bedrock2: bytecode interpreter */                                         \
   X(InterpCompileFns, "interp.compile.functions", Counter, Det)                \
   X(InterpCompileInsnsIn, "interp.compile.insns_in", Counter, Det)             \

@@ -110,17 +110,11 @@ const riscv::MmioTrace &SoakMachine::trace() {
   case SoakCore::IsaSim:
     return Sim->trace();
   case SoakCore::SpecCore:
-    ConvertedTrace.reserve(Spec->labels().size());
-    Converted =
-        kami::appendKamiLabelSeqR(Spec->labels(), Converted, ConvertedTrace);
-    return ConvertedTrace;
+    return Converted.update(Spec->labels());
   case SoakCore::Pipelined:
-    ConvertedTrace.reserve(Pipe->labels().size());
-    Converted =
-        kami::appendKamiLabelSeqR(Pipe->labels(), Converted, ConvertedTrace);
-    return ConvertedTrace;
+    return Converted.update(Pipe->labels());
   }
-  return ConvertedTrace;
+  return Converted.trace();
 }
 
 uint64_t SoakMachine::retired() const {
@@ -160,8 +154,7 @@ SoakMachine::Snapshot SoakMachine::snapshot() {
   if (Pipe)
     S.Pipe = Pipe->snapshot();
   S.Plat = Plat.snapshot();
-  S.ConvertedTrace = ConvertedChain.snapshot(ConvertedTrace);
-  S.Converted = Converted;
+  S.Converted = Converted.snapshot();
   S.Mon = Mon.snapshot();
   S.Elapsed = Elapsed;
   S.NextFrame = NextFrame;
@@ -181,8 +174,7 @@ void SoakMachine::restore(const Snapshot &S) {
   if (Pipe)
     Pipe->restore(*S.Pipe);
   Plat.restore(S.Plat);
-  ConvertedChain.restore(ConvertedTrace, S.ConvertedTrace);
-  Converted = S.Converted;
+  Converted.restore(S.Converted);
   Mon.restore(S.Mon);
   Elapsed = S.Elapsed;
   NextFrame = S.NextFrame;
@@ -193,6 +185,8 @@ void SoakMachine::restore(const Snapshot &S) {
 void SoakMachine::publishMetrics() {
   if (Engine)
     Engine->publishMetrics();
+  if (Pipe)
+    Pipe->publishMetrics();
 }
 
 //===----------------------------------------------------------------------===//

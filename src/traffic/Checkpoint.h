@@ -119,13 +119,12 @@ public:
     std::optional<kami::SpecCore::Snapshot> Spec;
     std::optional<kami::PipelinedCore::Snapshot> Pipe;
     devices::Platform::Snapshot Plat;
-    support::ChainTracker<riscv::MmioEvent>::Snap ConvertedTrace;
-    size_t Converted;
+    kami::LabelSeqConverter::Snapshot Converted;
     TraceMonitor::Snapshot Mon;
-    uint64_t Elapsed;
-    size_t NextFrame;
+    uint64_t Elapsed = 0;
+    size_t NextFrame = 0;
     support::ChainTracker<devices::ScheduledFrame>::Snap Delivered;
-    bool DrainFlagged;
+    bool DrainFlagged = false;
   };
 
   Snapshot snapshot();
@@ -136,12 +135,12 @@ public:
   /// cross-machine restore is merely slower, never wrong.
   void restore(const Snapshot &S);
 
-  /// Publishes the trace engine's metric deltas accumulated since the
-  /// last publication. Called at shard-stat collection, and — under
-  /// metrics::PauseScope — by the warm-boot path to rebase the
-  /// publication baseline so warm and cold shards publish identical
-  /// shard-only deltas. No-op for the Kami cores and the reference
-  /// stepper.
+  /// Publishes the block engine's or the pipelined core's metric deltas
+  /// accumulated since the last publication. Called at shard-stat
+  /// collection, and — under metrics::PauseScope — by the warm-boot path
+  /// to rebase the publication baseline so warm and cold shards publish
+  /// identical shard-only deltas. No-op for the spec core and the
+  /// reference stepper.
   void publishMetrics();
 
 private:
@@ -155,9 +154,7 @@ private:
   std::unique_ptr<kami::Bram> Mem;
   std::unique_ptr<kami::SpecCore> Spec;
   std::unique_ptr<kami::PipelinedCore> Pipe;
-  riscv::MmioTrace ConvertedTrace;
-  size_t Converted = 0;
-  support::ChainTracker<riscv::MmioEvent> ConvertedChain;
+  kami::LabelSeqConverter Converted; ///< Kami cores' KamiLabelSeqR image.
   support::ChainTracker<devices::ScheduledFrame> DeliveredChain;
   TraceMonitor Mon;
 };

@@ -76,22 +76,17 @@ public:
 
   /// Trace under KamiLabelSeqR, by reference: the ISA simulator's trace
   /// is already in event form; the Kami cores' label sequences are
-  /// converted incrementally from the last watermark, so polling is O(new
-  /// events) instead of a full rebuild-and-copy per call.
+  /// converted incrementally, so polling is O(new events).
   const riscv::MmioTrace &trace() {
     switch (Options.Core) {
     case CoreKind::IsaSim:
       return Sim->trace();
     case CoreKind::SpecCore:
-      Converted = kami::appendKamiLabelSeqR(Spec->labels(), Converted,
-                                            ConvertedTrace);
-      return ConvertedTrace;
+      return Converted.update(Spec->labels());
     case CoreKind::Pipelined:
-      Converted = kami::appendKamiLabelSeqR(Pipe->labels(), Converted,
-                                            ConvertedTrace);
-      return ConvertedTrace;
+      return Converted.update(Pipe->labels());
     }
-    return ConvertedTrace;
+    return Converted.trace();
   }
 
   uint64_t retired() const {
@@ -131,8 +126,7 @@ private:
   std::unique_ptr<kami::Bram> Mem;
   std::unique_ptr<kami::SpecCore> Spec;
   std::unique_ptr<kami::PipelinedCore> Pipe;
-  riscv::MmioTrace ConvertedTrace; ///< Incremental KamiLabelSeqR image.
-  size_t Converted = 0;            ///< Labels converted so far.
+  kami::LabelSeqConverter Converted; ///< Kami cores' KamiLabelSeqR image.
 };
 
 /// Ground truth: the distinct lightbulb states implied by the accepted

@@ -20,11 +20,14 @@
 #include "compiler/Compile.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
+#include "support/Word.h"
 #include "verify/FaultInjection.h"
 
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <cassert>
 
 using namespace b2;
 using namespace b2::isa;
@@ -73,6 +76,7 @@ void expectSameArchState(const Machine &A, const Machine &B) {
 /// i = 0; do { i++; } while (i != N); then spin. The loop body is the
 /// addi/bne counter idiom the engine fuses.
 std::vector<Instr> counterLoop(SWord N) {
+  assert(support::fitsSigned(N, 12) && "trip count must fit addi's immediate");
   return {
       addi(A0, Zero, 0),
       addi(A1, Zero, N),
@@ -217,11 +221,11 @@ TEST(BlockEngine, HostPokeStraddlingWordBoundaryKillsBlocks) {
   // engine must refetch and see the same (invalid) bytes the stepper
   // sees — a stale trace would instead keep looping.
   NoDevice D1, D2;
-  Machine Ref = machineWith(counterLoop(4000));
-  Machine Blk = machineWith(counterLoop(4000));
+  Machine Ref = machineWith(counterLoop(2000));
+  Machine Blk = machineWith(counterLoop(2000));
   BlockEngine E(Blk, D2, ExecMode::Block);
   riscv::run(Ref, D1, 500);
-  E.run(500); // Loop is hot and mid-flight (i < 4000).
+  E.run(500); // Loop is hot and mid-flight (i < 2000).
   EXPECT_GE(E.stats().BlocksTranslated, 1u);
   Ref.writeRam(14, 4, 0xFFFFFFFF); // Straddles words at pc 12 and pc 16.
   Blk.writeRam(14, 4, 0xFFFFFFFF);
@@ -236,8 +240,8 @@ TEST(BlockEngine, XAddrsRemovalSpanKillsBlocks) {
   // loop body must kill the covering superblock and surface the
   // FetchNotExecutable verdict, exactly like the stepper.
   NoDevice D1, D2;
-  Machine Ref = machineWith(counterLoop(4000));
-  Machine Blk = machineWith(counterLoop(4000));
+  Machine Ref = machineWith(counterLoop(2000));
+  Machine Blk = machineWith(counterLoop(2000));
   BlockEngine E(Blk, D2, ExecMode::Block);
   riscv::run(Ref, D1, 500);
   E.run(500);

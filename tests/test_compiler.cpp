@@ -471,6 +471,24 @@ TEST(CompilerDiff, HandwrittenProgramsAgree) {
   }
 }
 
+TEST(CompilerDiff, SubtractIntMinImmediateAgrees) {
+  // x - 0x80000000 reaches the subtract-immediate lowering with the one
+  // immediate whose negation overflows a signed word; it must fall back
+  // to a register subtract and agree with the source semantics.
+  Program P = parseOrDie("fn f(a) -> (r) { r = a - 0x80000000; }");
+  for (Word A : {Word(0), Word(1), Word(0x7FFFFFFF), Word(0x80000000),
+                 Word(0xFFFFFFFF)}) {
+    for (CompilerOptions O : {CompilerOptions::o0(), CompilerOptions::o3()}) {
+      DiffOptions DO;
+      DO.Compiler = O;
+      DiffResult R = diffCompilePure(P, "f", {A}, DO);
+      ASSERT_TRUE(R.Ok) << "a = " << A << "\n" << R.Error;
+      ASSERT_TRUE(R.Source.ok());
+    }
+    EXPECT_EQ(compileAndRun(P, "f", {A}), A - 0x80000000u);
+  }
+}
+
 TEST(CompilerDiff, RandomProgramsAgreeO0) {
   for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
     b2::testing::RandomProgramGen Gen(Seed);

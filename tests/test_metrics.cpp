@@ -20,6 +20,9 @@
 #include "isa/Encoding.h"
 #include "riscv/BlockEngine.h"
 #include "riscv/Machine.h"
+#include "traffic/Checkpoint.h"
+#include "traffic/Scenario.h"
+#include "traffic/Soak.h"
 #include "verify/ParallelDriver.h"
 
 #include <gtest/gtest.h>
@@ -213,6 +216,83 @@ TEST(MetricsDeterminism, BlockEngineFleetInvariantAcrossThreadCounts) {
   EXPECT_GT(S1.counter(Id::SimBlockTraceInstrs), 0u);
   // Each shard translates its loop block and its halt spin.
   EXPECT_EQ(S1.counter(Id::SimBlockTranslations), 2 * Seeds.size());
+}
+
+TEST(MetricsDeterminism, PipelinedSoakFleetPublishesPipeStats) {
+  REQUIRE_METRICS();
+  // Each shard soaks a few seeded frames on the pipelined core; the
+  // core's PipeStats reach the registry as kami.pipe.* deltas. With the
+  // checkpoint layer on, shards fork from the thread-local warm-boot
+  // cache, whose hit pattern depends on the thread count: the PauseScope
+  // rebase must keep the boot out of every shard's deltas either way.
+  static compiler::CompileResult Fw = traffic::compileSoakFirmware();
+  ASSERT_TRUE(Fw.ok()) << Fw.Error;
+  const compiler::CompiledProgram &Prog = *Fw.Prog;
+
+  traffic::SoakOptions Pipelined;
+  Pipelined.Core = traffic::SoakCore::Pipelined;
+  constexpr size_t Shards = 6;
+
+  struct FleetRun {
+    Snapshot Metrics;
+    uint64_t Cycles = 0;
+    uint64_t Retired = 0;
+  };
+  auto Run = [&](bool Checkpoint, unsigned Threads) {
+    traffic::SoakOptions O = Pipelined;
+    O.Checkpoint = Checkpoint;
+    verify::ShardWork Work = [&](size_t Index, uint64_t Seed) {
+      traffic::ScenarioOptions G;
+      G.Seed = Seed;
+      G.Frames = 3;
+      traffic::TrafficStream S = traffic::generateScenario("valid-mix", G);
+      traffic::ShardStats St = traffic::runSoakShard(Prog, S.Frames, O);
+      verify::ShardResult R;
+      R.Index = Index;
+      R.Seed = Seed;
+      R.Ok = St.Ok;
+      R.Error = St.Error;
+      R.Cycles = St.Cycles;
+      R.Retired = St.Retired;
+      return R;
+    };
+    resetAll();
+    verify::FleetReport R =
+        verify::runShards(verify::fleetSeeds(0x919e, Shards), Threads, Work);
+    EXPECT_TRUE(R.allOk()) << R.firstError();
+    FleetRun Out;
+    Out.Metrics = snapshot();
+    for (const verify::ShardResult &S : R.Shards) {
+      Out.Cycles += S.Cycles;
+      Out.Retired += S.Retired;
+    }
+    return Out;
+  };
+
+  // Cold shards publish everything their core ran, boot included, which
+  // is exactly what ShardStats counts.
+  FleetRun Cold1 = Run(false, 1), Cold4 = Run(false, 4);
+  EXPECT_TRUE(Cold1.Metrics.deterministicEquals(Cold4.Metrics));
+  EXPECT_EQ(Cold1.Metrics.counter(Id::KamiPipeCycles), Cold1.Cycles);
+  EXPECT_EQ(Cold1.Metrics.counter(Id::KamiPipeRetired), Cold1.Retired);
+  EXPECT_GT(Cold1.Metrics.counter(Id::KamiPipeFillCycles), 0u);
+  EXPECT_GT(Cold1.Metrics.counter(Id::KamiPipeRawStalls), 0u);
+  EXPECT_GT(Cold1.Metrics.counter(Id::KamiPipeMispredicts), 0u);
+  EXPECT_GT(Cold1.Metrics.counter(Id::KamiPipeMmioStalls), 0u);
+
+  // Warm-boot shards publish only what ran after the boot, on every
+  // thread count; ShardStats still counts the boot cycles.
+  FleetRun Warm1 = Run(true, 1), Warm4 = Run(true, 4);
+  EXPECT_TRUE(Warm1.Metrics.deterministicEquals(Warm4.Metrics));
+  EXPECT_EQ(Warm1.Cycles, Cold1.Cycles);
+  traffic::SoakMachine Boot(Prog, Pipelined.Core, Pipelined.RamBytes);
+  ASSERT_EQ(traffic::runShardLoop(Boot, nullptr, nullptr, Pipelined, {}, true),
+            traffic::ShardExit::ReadyToInject);
+  EXPECT_EQ(Warm1.Metrics.counter(Id::KamiPipeCycles) + Shards * Boot.Elapsed,
+            Warm1.Cycles);
+  EXPECT_EQ(Warm1.Metrics.counter(Id::KamiPipeRetired) + Shards * Boot.retired(),
+            Warm1.Retired);
+  EXPECT_EQ(Warm1.Metrics.counter(Id::KamiPipeFillCycles), 0u);
 }
 
 TEST(MetricsJsonReport, SchemaAndScopeSplit) {

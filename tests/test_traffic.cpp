@@ -13,6 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "devices/Net.h"
+#include "kami/Labels.h"
+#include "traffic/Checkpoint.h"
 #include "traffic/Monitor.h"
 #include "traffic/Pcap.h"
 #include "traffic/Scenario.h"
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <set>
 
@@ -300,6 +303,68 @@ TEST(Soak, EmptyStreamYieldsOneCleanShard) {
 }
 
 // -- Fault -> violation -> shrink -> replay ----------------------------------
+
+// -- Streaming trace conversion ----------------------------------------------
+//
+// Polling a converted trace must cost O(new events): the image grows
+// geometrically, so over a run its capacity changes about log2(events)
+// times however often it is polled. Counting capacity changes instead of
+// timing keeps the check deterministic; an exact-size reserve per poll
+// reallocates (and copies everything) on every poll that adds an event.
+
+namespace {
+
+/// Capacity changes allowed while a vector grows to \p Events elements.
+size_t geometricGrowthBound(size_t Events) {
+  return 2 * size_t(std::bit_width(Events));
+}
+
+} // namespace
+
+TEST(TraceConversion, ConverterGrowsGeometricallyOneLabelPerCall) {
+  kami::LabelTrace Labels;
+  kami::LabelSeqConverter C;
+  size_t Capacity = C.trace().capacity(), Changes = 0;
+  for (Word I = 0; I != 5000; ++I) {
+    Labels.push_back(kami::Label{
+        I % 3 ? kami::Label::Kind::MmioLoad : kami::Label::Kind::MmioStore,
+        0x10020000 + 4 * (I % 8), I, 4, I});
+    const riscv::MmioTrace &T = C.update(Labels);
+    ASSERT_EQ(T.size(), Labels.size());
+    if (T.capacity() != Capacity) {
+      Capacity = T.capacity();
+      ++Changes;
+    }
+  }
+  EXPECT_LE(Changes, geometricGrowthBound(Labels.size()));
+  EXPECT_EQ(C.trace(), kami::kamiLabelSeqR(Labels));
+}
+
+TEST(TraceConversion, SoakMachinePollingGrowsGeometricallyOnKamiCores) {
+  constexpr unsigned Polls = 2000;
+  for (SoakCore Core : {SoakCore::Pipelined, SoakCore::SpecCore}) {
+    SoakMachine M(soakFirmware(), Core, 64 * 1024);
+    size_t Capacity = M.trace().capacity(), Changes = 0, GrowingPolls = 0;
+    for (unsigned P = 0; P != Polls; ++P) {
+      bool Ok = true;
+      size_t Before = M.trace().size();
+      M.runChunk(2000, Ok);
+      const riscv::MmioTrace &T = M.trace();
+      GrowingPolls += T.size() > Before;
+      if (T.capacity() != Capacity) {
+        Capacity = T.capacity();
+        ++Changes;
+      }
+    }
+    const size_t Events = M.trace().size();
+    // The firmware's SPI polling emits events all the time, so most polls
+    // grow the trace; that is what gives the bound its teeth.
+    EXPECT_GE(GrowingPolls, Polls / 2) << soakCoreName(Core);
+    EXPECT_LE(Changes, geometricGrowthBound(Events))
+        << soakCoreName(Core) << ": " << Events << " events, " << GrowingPolls
+        << " growing polls";
+  }
+}
 
 TEST(Shrink, DdminIsOneMinimalOnSyntheticOracle) {
   // The failure needs the interaction of the frames scheduled at ops 7
