@@ -5,10 +5,13 @@
 // Checking-interpreter throughput per execution engine: the reference AST
 // walker, the bytecode fast path, and differential-both (which is also
 // the correctness gate — any divergence between the engines fails the
-// bench). Two workloads: the lightbulb firmware event loop under deviced
-// MMIO traffic, and a corpus of random UB-free programs like the ones the
-// compiler differential checkers run. Emits BENCH_interp.json so the
-// speedup is tracked PR over PR.
+// bench). Three workloads: the lightbulb firmware event loop under deviced
+// MMIO traffic, a corpus of random UB-free programs like the ones the
+// compiler differential checkers run (one Interp per program, reused
+// across rounds), and the same corpus called the way diffCompile calls
+// it (random_corpus_oneshot: a fresh Interp, so a fresh compilation, per
+// call for each of DiffOptions' stackalloc salts). Emits
+// BENCH_interp.json so the throughput is tracked change over change.
 //
 // Usage: interp_throughput [--quick]   (--quick shrinks the measurement
 // for CI smoke runs)
@@ -24,6 +27,7 @@
 #include "riscv/Mmio.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
+#include "verify/CompilerDiff.h"
 
 #include <chrono>
 #include <cstdio>
@@ -55,9 +59,9 @@ struct Throughput {
 Throughput measureFirmware(const Program &P, ExecMode Mode,
                            double MinSeconds, bool &DiffOk,
                            std::string &Error) {
-  // One interpreter for the whole measurement: compile once, run many —
-  // the engine's intended usage (CompilerDiff and the fuzz harnesses all
-  // reuse one Interp across calls).
+  // One interpreter for the whole measurement: compile once, run many,
+  // as a long-running caller would. (CompilerDiff does not: see
+  // measureCorpusOneShot.)
   devices::Platform Plat;
   MmioExtSpec Ext(Plat, 64 * 1024);
   Interp I(P, Ext, 50'000'000, StackallocPolicy(), Mode);
@@ -94,6 +98,25 @@ Throughput measureFirmware(const Program &P, ExecMode Mode,
   return T;
 }
 
+/// Books one corpus call into \p T; false, with \p Error set, when the
+/// program faulted or the two engines diverged.
+bool recordCorpusCall(Throughput &T, const ExecResult &R, Interp &I,
+                      size_t PI, bool &DiffOk, std::string &Error) {
+  T.Statements += R.StepsUsed;
+  ++T.Calls;
+  if (!R.ok()) {
+    Error = "corpus program " + std::to_string(PI) +
+            " faulted: " + faultName(R.F) + " (" + R.Detail + ")";
+    return false;
+  }
+  if (I.divergenceCount() != 0) {
+    DiffOk = false;
+    Error = I.divergence();
+    return false;
+  }
+  return true;
+}
+
 /// A corpus of random UB-free programs (the same generator the compiler
 /// differential tests fuzz with), re-run round-robin until the clock
 /// expires.
@@ -116,17 +139,40 @@ Throughput measureCorpus(const std::vector<Program> &Corpus, ExecMode Mode,
       Interp &I = *Interps[PI];
       ExecResult R =
           I.callFunction("main", {Word(PI * 7 + Round), Word(~Round)});
-      T.Statements += R.StepsUsed;
-      ++T.Calls;
-      if (!R.ok()) {
-        Error = "corpus program " + std::to_string(PI) +
-                " faulted: " + faultName(R.F) + " (" + R.Detail + ")";
+      if (!recordCorpusCall(T, R, I, PI, DiffOk, Error))
         break;
-      }
-      if (I.divergenceCount() != 0) {
-        DiffOk = false;
-        Error = I.divergence();
-        break;
+    }
+    ++Round;
+    T.Seconds = now() - Start;
+  } while (Error.empty() && T.Seconds < MinSeconds);
+  T.Seconds = now() - Start;
+  T.Sps = T.Statements / (T.Seconds > 0 ? T.Seconds : 1e-9);
+  return T;
+}
+
+/// The corpus as verify::diffCompile runs its source side: for every
+/// call, one fresh Interp per stackalloc salt in DiffOptions, each
+/// compiling the program again before its single call. Compile cost is
+/// part of every call here, which is what the CompilerDiff traffic pays.
+Throughput measureCorpusOneShot(const std::vector<Program> &Corpus,
+                                ExecMode Mode, double MinSeconds,
+                                bool &DiffOk, std::string &Error) {
+  const verify::DiffOptions Diff;
+  Throughput T;
+  double Start = now();
+  uint64_t Round = 0;
+  do {
+    for (size_t PI = 0; PI != Corpus.size() && Error.empty(); ++PI) {
+      for (Word Salt : Diff.StackallocSalts) {
+        riscv::NoDevice Dev;
+        MmioExtSpec Ext(Dev, Diff.RamBytes);
+        StackallocPolicy Policy;
+        Policy.Salt = Salt;
+        Interp I(Corpus[PI], Ext, Diff.SourceFuel, Policy, Mode);
+        ExecResult R =
+            I.callFunction("main", {Word(PI * 7 + Round), Word(~Round)});
+        if (!recordCorpusCall(T, R, I, PI, DiffOk, Error))
+          break;
       }
     }
     ++Round;
@@ -193,6 +239,14 @@ int main(int argc, char **argv) {
     if (!Error.empty())
       std::fprintf(stderr, "random_corpus [%s]: %s\n", execModeName(Mode),
                    Error.c_str());
+    Error.clear();
+    Rows.push_back({"random_corpus_oneshot", execModeName(Mode), bestOf([&] {
+                      return measureCorpusOneShot(Corpus, Mode, MinSeconds,
+                                                  DiffOk, Error);
+                    })});
+    if (!Error.empty())
+      std::fprintf(stderr, "random_corpus_oneshot [%s]: %s\n",
+                   execModeName(Mode), Error.c_str());
   }
 
   bench::Table Tab({"workload", "engine", "stmts/sec", "statements", "calls"});
@@ -213,10 +267,14 @@ int main(int argc, char **argv) {
   double CorpusSpeedup =
       spsOf("random_corpus", "fast") /
       std::max(spsOf("random_corpus", "reference"), 1e-9);
+  double OneShotSpeedup =
+      spsOf("random_corpus_oneshot", "fast") /
+      std::max(spsOf("random_corpus_oneshot", "reference"), 1e-9);
   std::printf("\nbytecode speedup over reference walker: firmware %s, "
-              "corpus %s\n",
+              "corpus %s, corpus one-shot %s\n",
               bench::withTimes(FwSpeedup, 2).c_str(),
-              bench::withTimes(CorpusSpeedup, 2).c_str());
+              bench::withTimes(CorpusSpeedup, 2).c_str(),
+              bench::withTimes(OneShotSpeedup, 2).c_str());
   std::printf("differential (walker vs bytecode): %s\n",
               DiffOk ? "identical" : "DIVERGED");
 
@@ -240,6 +298,7 @@ int main(int argc, char **argv) {
   J.key("speedups").beginObject();
   J.key("firmware_fast_vs_reference").value(FwSpeedup);
   J.key("corpus_fast_vs_reference").value(CorpusSpeedup);
+  J.key("corpus_oneshot_fast_vs_reference").value(OneShotSpeedup);
   J.endObject();
   J.key("differential_ok").value(DiffOk);
   J.endObject();

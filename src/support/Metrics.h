@@ -84,9 +84,8 @@ namespace metrics {
   /* bedrock2: bytecode interpreter */                                         \
   X(InterpCompileFns, "interp.compile.functions", Counter, Det)                \
   X(InterpCompileInsnsIn, "interp.compile.insns_in", Counter, Det)             \
-  X(InterpCompileInsnsOut, "interp.compile.insns_out", Counter, Det)           \
+  /* Always 0 (the compiler fuses nothing); the stack benchmark reads it */    \
   X(InterpFuseHits, "interp.fuse.hits", Counter, Det)                          \
-  X(InterpFuseLoopHeads, "interp.fuse.loop_heads", Counter, Det)               \
   X(InterpExecRuns, "interp.exec.runs", Counter, Det)                          \
   X(InterpExecSteps, "interp.exec.steps", Counter, Det)                        \
   /* traffic: soak harness + streaming monitor */                              \

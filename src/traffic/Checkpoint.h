@@ -57,8 +57,9 @@ namespace traffic {
 /// b2_traffic so the layer stays independent of b2_verify's digest).
 uint64_t soakTraceHash(const riscv::MmioTrace &T);
 
-/// Ground truth, as in the end-to-end checker: the distinct lightbulb
-/// states implied by the accepted frames (initial state off).
+/// Ground truth for the soak and end-to-end checkers: the distinct
+/// lightbulb states implied by the accepted frames (initial state off).
+/// Re-asserting the current state records nothing.
 std::vector<bool>
 expectedLightSequence(const std::vector<devices::ScheduledFrame> &Accepted);
 

@@ -227,25 +227,22 @@ bool interpDiffFails(const char *Src, const char *Fn,
 
 std::vector<Stim> interpDiffStims() {
   return {
-      // Countdown loop: fuses to IncLoopBrNZ with a Sub latch, covering
-      // the latch-op, loop-head-branch, and body-entry-charge fast paths.
+      // Countdown loop: a Sub latch under a bare-variable loop test.
       {"countdown-loop", [](std::string &D) {
          return interpDiffFails(
              "fn f() -> (r) { r = 0; i = 8;"
              "  while (i) { r = r + i; i = i - 1; } }",
              "f", {}, D);
        }},
-      // Comparison-headed loop (BrVZ over a temporary, StepN charges).
+      // Comparison-headed loop: the branch tests a computed temporary.
       {"counted-loop", [](std::string &D) {
          return interpDiffFails(
              "fn f() -> (r) { r = 0; i = 0;"
              "  while (i < 10) { r = r + 2; i = i + 1; } }",
              "f", {}, D);
        }},
-      // Division and remainder by zero (DivByZeroCount bookkeeping).
-      // Covers both the fused variable-variable fast path (a / b) and the
-      // generic stack Binop op: a load-result divisor defeats the
-      // peephole fusion, so `a / load4(p)` divides on the plain Binop.
+      // Division and remainder by zero (DivByZeroCount bookkeeping), by
+      // a variable divisor and by a loaded one.
       {"div-by-zero", [](std::string &D) {
          return interpDiffFails(
              "fn f(a, b) -> (r) { stackalloc p[4] {"
@@ -618,7 +615,7 @@ std::vector<Stim> soakMonitorStims() {
 // runs equally and never trips this column; only a fault in the
 // checkpoint layer itself (SnapStateStaleLatch corrupts one restored SPI
 // latch) makes the resumed run diverge. Kept on the ISA simulator so the
-// full 36-fault matrix stays cheap; the fuzz tests cover all three cores.
+// full 35-fault matrix stays cheap; the fuzz tests cover all three cores.
 
 bool snapDiffFails(uint64_t Seed, uint64_t Frames, size_t Depth,
                    std::string &Detail) {

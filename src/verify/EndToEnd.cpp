@@ -12,6 +12,7 @@
 #include "riscv/Machine.h"
 #include "riscv/Step.h"
 #include "support/Format.h"
+#include "traffic/Checkpoint.h"
 
 #include <chrono>
 #include <memory>
@@ -129,29 +130,6 @@ private:
   kami::LabelSeqConverter Converted; ///< Kami cores' KamiLabelSeqR image.
 };
 
-/// Ground truth: the distinct lightbulb states implied by the accepted
-/// frames (initial state off).
-std::vector<bool> expectedLightSequence(
-    const std::vector<ScheduledFrame> &Accepted) {
-  std::vector<bool> Out;
-  bool Light = false;
-  for (const ScheduledFrame &F : Accepted) {
-    if (F.Errored)
-      continue;
-    FrameClass C = classifyFrame(F.Frame);
-    if (!C.Valid)
-      continue;
-    if (C.CommandBit != Light) {
-      Light = C.CommandBit;
-      Out.push_back(Light);
-    } else {
-      // Re-asserting the same state performs a GPIO store but records no
-      // *distinct* state; history only tracks changes.
-    }
-  }
-  return Out;
-}
-
 } // namespace
 
 E2EResult b2::verify::runCompiledEndToEnd(const compiler::CompiledProgram &Prog,
@@ -211,7 +189,7 @@ E2EResult b2::verify::runCompiledEndToEnd(const compiler::CompiledProgram &Prog,
   // Ground truth: the lightbulb tracked exactly the valid commands.
   R.LightHistory = Runner.platform().gpio().lightHistory();
   R.ExpectedLights =
-      expectedLightSequence(Runner.platform().acceptedFrames());
+      traffic::expectedLightSequence(Runner.platform().acceptedFrames());
   R.GroundTruthOk = R.LightHistory == R.ExpectedLights;
   if (!R.GroundTruthOk && R.Error.empty())
     R.Error = "lightbulb state history does not match the accepted valid "
