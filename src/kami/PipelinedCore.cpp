@@ -81,7 +81,10 @@ void PipelinedCore::stageWriteback() {
     --Pending[W.D.Rd];
   }
 
-  assert(W.Pc == CommitPc && "out-of-order retirement");
+  // The seeded kami-btb-no-squash fault retires a wrong-path instruction
+  // by design; Refinement must get to record that kill, not abort here.
+  assert((W.Pc == CommitPc || fi::on(fi::Fault::KamiBtbNoSquash)) &&
+         "out-of-order retirement");
   CommitPc = W.NextPc;
   ++Stats.Retired;
   E2W.reset();

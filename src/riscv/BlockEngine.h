@@ -8,12 +8,13 @@
 /// A two-tier execution engine for the software-oriented RISC-V machine.
 /// The first tier is the reference stepper (riscv/Step.h); the second
 /// tier discovers hot basic blocks through per-word heat counters,
-/// translates them into contiguous threaded micro-op traces (with fused
-/// idioms for addi/branch counter loops and lw/sw copy pairs, and with
-/// unconditional jumps — calls included, their link-register write folded
-/// to a translation-time constant — followed straight through), and
+/// translates them into contiguous threaded micro-op traces (fusing the
+/// sw/sw, addi/addi and lw/lw pairs that dominate compiled firmware, and
+/// following unconditional jumps — calls included, their link-register
+/// write folded to a translation-time constant — straight through), and
 /// chains translated blocks through direct block linking so that
-/// steady-state loops never leave trace execution.
+/// steady-state loops never leave trace execution. Each micro-op kind is
+/// kept only for a measured win on the lightbulb firmware (EXPERIMENTS.md).
 ///
 /// The engine is a *performance* layer, never a *semantics* layer: every
 /// micro-op reuses the semantic kernels of riscv/Exec.h (fault-injection
@@ -148,8 +149,6 @@ private:
     AluReg,          ///< Rd = alu(Op, Rs1, Rs2).
     Load,            ///< Rd = extend(Op, mem[Rs1 + Imm]); MMIO-guarded.
     Store,           ///< mem[Rs1 + Imm] = Rs2; MMIO-guarded.
-    FusedLwSw,       ///< Rd = mem[Rs1+Imm]; mem[Rs2+Aux] = Rd. Retires 2.
-    FusedAddiBranch, ///< Rd = Rs1+Imm; branch Op on (Rs2, R3). Retires 2.
     Branch,          ///< Terminator: taken -> Aux, else InstrPc + 4.
     Jal,             ///< Terminator: link InstrPc+4, jump to Aux.
     Jalr,            ///< Terminator: indirect target via Rs1 + Imm.
@@ -169,22 +168,6 @@ private:
     Srl,             ///< Rd = Rs1 >> (Rs2 & 31) logical.
     Bne,             ///< Terminator: Branch specialized to bne.
     Beq,             ///< Terminator: Branch specialized to beq.
-    FusedAddBranch,  ///< Rd = Rs1+Rs2; branch Op on (R3, Imm-as-reg).
-                     ///< Register-register twin of FusedAddiBranch, with
-                     ///< the second branch operand's register number
-                     ///< carried in Imm (the add uses no immediate).
-                     ///< Retires 2.
-    // Continue twins for self-loop unrolling: a block whose terminator
-    // branches straight back to its own head is duplicated up to
-    // MaxBlockWeight instructions, and every terminator but the last
-    // becomes its continue twin — taken falls through into the next
-    // copy, not-taken leaves through the fall-through link. Semantics
-    // are identical to the terminator they replace.
-    BneCont,             ///< Bne taken -> next micro-op.
-    BeqCont,             ///< Beq taken -> next micro-op.
-    BranchCont,          ///< Generic branch taken -> next micro-op.
-    FusedAddiBranchCont, ///< FusedAddiBranch taken -> next micro-op.
-    FusedAddBranchCont,  ///< FusedAddBranch taken -> next micro-op.
     // Straight-line pair fusions for the dominant o0 runs (stack spills
     // and address arithmetic come in bursts), halving dispatches there.
     FusedSwSw,       ///< mem[Rs1+Imm] = Rs2; mem[R3+Aux] = Rd-as-reg.
@@ -207,7 +190,7 @@ private:
     uint8_t Rd = 0;
     uint8_t Rs1 = 0;
     uint8_t Rs2 = 0;
-    uint8_t R3 = 0; ///< Second branch operand of FusedAddiBranch.
+    uint8_t R3 = 0; ///< Second half's register of a pair fusion.
     SWord Imm = 0;
     Word Aux = 0;     ///< Branch/jump target, constant, or store offset.
     Word InstrPc = 0; ///< Pc of the source instruction (side-exit resume).
@@ -217,13 +200,8 @@ private:
   /// rd=x0 followed through at translation time) ending in a terminator.
   struct Block {
     Word HeadPc = 0;
-    uint32_t Count = 0;      ///< Instructions a full pass retires.
-    uint32_t EntryCount = 0; ///< Budget needed to enter: one body copy
-                             ///< for an unrolled self-loop (continue
-                             ///< twins re-check before each further
-                             ///< copy), Count otherwise — so unrolling
-                             ///< never shrinks the hot-execution window
-                             ///< a chunked budget allows.
+    uint32_t Count = 0; ///< Instructions a full pass retires (and so
+                        ///< the budget needed to enter).
     bool Valid = true;
     int32_t LinkTaken = -1;      ///< Direct link: taken / unconditional.
     int32_t LinkFall = -1;       ///< Direct link: fall-through.

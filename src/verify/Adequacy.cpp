@@ -664,8 +664,8 @@ std::vector<Stim> snapDiffStims() {
 // programs drive both engines over the same instruction schedule, and
 // any mismatch in registers, pc, RAM, UB verdict, retirement count, or
 // MMIO events is a kill. The stimuli are chosen so every engine fast
-// path — fused addi/branch counters, fused lw/sw copy pairs, block
-// linking, and the stale-superblock invalidation discipline — changes an
+// path — self-linked counter loops, fused addi/addi pairs, word copies,
+// and the stale-superblock invalidation discipline — changes an
 // observable the lockstep compares.
 
 bool blockDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
@@ -692,26 +692,39 @@ bool blockDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
 std::vector<Stim> blockDiffStims() {
   using namespace isa;
   return {
-      // A hot counter loop: the addi/bne pair fuses, and the branch reads
-      // the register the addi just wrote — the exact shape the fused-op
-      // clobber fault perturbs.
+      // A hot counter loop: the block branches back to its own head, so
+      // every pass after the first chains through the direct link.
       {"hot-counter-loop", [](std::string &D) {
          std::vector<Instr> P;
          P.push_back(addi(A0, Zero, 0));
          P.push_back(addi(A1, Zero, 400));
          P.push_back(addi(A0, A0, 1));               // Loop head.
-         P.push_back(mkB(Opcode::Bne, A0, A1, -4));  // Fuses with the addi.
+         P.push_back(mkB(Opcode::Bne, A0, A1, -4));
          P.push_back(jal(Zero, 0));                  // Halt spin.
          return blockDiffFails(P, D);
        }},
-      // A word-copy loop: lw/sw pairs fuse, and the trailing counter
-      // keeps the block hot across many passes of linked execution.
+      // A hot addi/addi pair whose second half reads the first's
+      // destination — the exact shape the fused-op clobber fault
+      // perturbs by committing the pair in swapped order.
+      {"dependent-addi-pair", [](std::string &D) {
+         std::vector<Instr> P;
+         P.push_back(addi(A0, Zero, 0));
+         P.push_back(addi(A1, Zero, 400));
+         P.push_back(addi(A0, A0, 1));               // Loop head.
+         P.push_back(addi(A2, A0, 3));               // Fuses with the addi.
+         P.push_back(mkB(Opcode::Bne, A0, A1, -8));
+         P.push_back(jal(Zero, 0));                  // Halt spin.
+         return blockDiffFails(P, D);
+       }},
+      // A word-copy loop: the cursor bumps fuse into an addi/addi pair,
+      // and the trailing counter keeps the block hot across many passes
+      // of linked execution.
       {"copy-loop", [](std::string &D) {
          std::vector<Instr> P;
          P.push_back(addi(A1, Zero, 0x400)); // Source cursor.
          P.push_back(addi(A2, Zero, 0x600)); // Destination cursor.
          P.push_back(addi(A3, Zero, 64));    // Words to copy.
-         P.push_back(lw(A4, A1, 0));         // Loop head; fuses with sw.
+         P.push_back(lw(A4, A1, 0));         // Loop head.
          P.push_back(sw(A2, A4, 0));
          P.push_back(addi(A1, A1, 4));
          P.push_back(addi(A2, A2, 4));

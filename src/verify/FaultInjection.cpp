@@ -49,8 +49,9 @@ const std::vector<FaultInfo> &b2::fi::faultRegistry() {
        "self-modifying stores"},
       {Fault::SimBlockFusedClobber, "sim-fused-op-flag-clobber", "sim",
        "BlockDiff",
-       "the fused addi/branch micro-op evaluates its branch on the stale "
-       "pre-increment counter value instead of the updated one"},
+       "translation fuses an addi/addi pair in swapped commit order, so "
+       "a second addi that reads the first's destination sees the stale "
+       "value"},
       // -- Kami processors ---------------------------------------------------
       {Fault::KamiBtbNoSquash, "kami-btb-no-squash", "kami", "Refinement",
        "a detected misprediction redirects fetch but does not squash the "

@@ -64,9 +64,10 @@ enum class Fault : uint8_t {
                               ///< owning superblocks, so the trace engine
                               ///< keeps executing stale micro-op traces
                               ///< after self-modifying stores.
-  SimBlockFusedClobber,       ///< The fused addi/branch micro-op compares
-                              ///< against the stale pre-increment counter
-                              ///< value instead of the updated one.
+  SimBlockFusedClobber,       ///< Translation fuses an addi/addi pair in
+                              ///< swapped commit order, so a second addi
+                              ///< reading the first's destination sees
+                              ///< the stale value.
   // -- Kami processor bugs (owned by Refinement / Lockstep / Decode) -------
   KamiBtbNoSquash,            ///< Mispredicted wrong-path instr not squashed.
   KamiForwardLoadStale,       ///< WB forwarding bypasses load results too,

@@ -6,7 +6,7 @@
 //
 // The superblock engine is a second execution semantics for the RISC-V
 // machine; these tests pin it to the reference stepper: identical
-// architectural outcomes on hot loops, fused idioms, MMIO polling,
+// architectural outcomes on hot loops, fused pairs, MMIO polling,
 // self-modifying code, arbitrary step budgets, and snapshot/restore —
 // plus the lockstep mode's ability to notice when the two tiers are
 // *deliberately* driven apart by the seeded sim-block faults.
@@ -20,7 +20,10 @@
 #include "compiler/Compile.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
+#include "support/Metrics.h"
 #include "support/Word.h"
+#include "traffic/Scenario.h"
+#include "traffic/Soak.h"
 #include "verify/FaultInjection.h"
 
 #include "RandomProgram.h"
@@ -73,8 +76,8 @@ void expectSameArchState(const Machine &A, const Machine &B) {
     ASSERT_EQ(A.readByte(Addr), B.readByte(Addr)) << "RAM byte " << Addr;
 }
 
-/// i = 0; do { i++; } while (i != N); then spin. The loop body is the
-/// addi/bne counter idiom the engine fuses.
+/// i = 0; do { i++; } while (i != N); then spin. The loop block ends in
+/// a bne back to its own head, so hot passes chain through its link.
 std::vector<Instr> counterLoop(SWord N) {
   assert(support::fitsSigned(N, 12) && "trip count must fit addi's immediate");
   return {
@@ -92,13 +95,28 @@ std::vector<Instr> copyLoop() {
       addi(A0, Zero, 0x400),
       addi(A1, Zero, 0x600),
       addi(A2, Zero, 64),
-      lw(A3, A0, 0),               // pc 12: loop head; fuses with the sw.
+      lw(A3, A0, 0),               // pc 12: loop head.
       sw(A1, A3, 0),
-      addi(A0, A0, 4),
+      addi(A0, A0, 4),             // Fuses with the next addi.
       addi(A1, A1, 4),
-      addi(A2, A2, -1),            // Fuses with the bne.
+      addi(A2, A2, -1),
       mkB(Opcode::Bne, A2, Zero, -20),
       jal(Zero, 0),                // pc 36: halt spin.
+  };
+}
+
+/// i = 0; do { i++; j = i + 3; } while (i != N); then spin. The two
+/// addis fuse into one FusedAddiAddi whose second half reads the first
+/// half's destination.
+std::vector<Instr> dependentAddiLoop(SWord N) {
+  assert(support::fitsSigned(N, 12) && "trip count must fit addi's immediate");
+  return {
+      addi(A0, Zero, 0),
+      addi(A1, Zero, N),
+      addi(A0, A0, 1),             // pc 8: loop head.
+      addi(A2, A0, 3),             // Reads the a0 just written.
+      mkB(Opcode::Bne, A0, A1, -8),
+      jal(Zero, 0),                // pc 20: halt spin.
   };
 }
 
@@ -143,6 +161,20 @@ EngineRun runWith(const std::vector<Instr> &Program, ExecMode Mode,
   return R;
 }
 
+/// Runs \p P in lockstep (97-step chunks) and demands no divergence and
+/// the same final state as a plain reference run. Returns the lockstep
+/// run.
+EngineRun lockstepMatchingReference(const std::vector<Instr> &P,
+                                    uint64_t Steps, MmioDevice &RefDev,
+                                    MmioDevice &DiffDev) {
+  EngineRun Ref = runWith(P, ExecMode::Reference, Steps, RefDev);
+  EngineRun Diff = runWith(P, ExecMode::Differential, Steps, DiffDev, 4096,
+                           /*Chunk=*/97);
+  EXPECT_EQ(Diff.Divergences, 0u) << Diff.Detail;
+  expectSameArchState(Diff.M, Ref.M);
+  return Diff;
+}
+
 } // namespace
 
 TEST(BlockEngine, HotCounterLoopMatchesReference) {
@@ -151,13 +183,13 @@ TEST(BlockEngine, HotCounterLoopMatchesReference) {
   EngineRun Blk = runWith(counterLoop(400), ExecMode::Block, 900, D2);
   EXPECT_FALSE(Blk.M.hasUb());
   expectSameArchState(Blk.M, Ref.M);
-  // The loop must actually run hot, through the fused addi/bne micro-op.
+  // The loop must actually run hot, re-entering its block by direct link.
   EXPECT_GE(Blk.Stats.BlocksTranslated, 1u);
-  EXPECT_GT(Blk.Stats.FusedRetired, 0u);
+  EXPECT_GT(Blk.Stats.LinkHits, 0u);
   EXPECT_GT(Blk.Stats.TraceInstrs, Blk.Stats.ColdInstrs);
 }
 
-TEST(BlockEngine, CopyLoopFusesLwSwPairs) {
+TEST(BlockEngine, CopyLoopMatchesReference) {
   NoDevice D1, D2;
   auto Seed = [](Machine &M) {
     for (Word I = 0; I != 64; ++I)
@@ -172,8 +204,7 @@ TEST(BlockEngine, CopyLoopFusesLwSwPairs) {
   E.run(500);
   expectSameArchState(Blk, Ref);
   EXPECT_EQ(Blk.readRam(0x600 + 4 * 63, 4), 0xBEEF0000u + 63u);
-  // Both the lw/sw pair and the addi/bne counter fuse in this loop.
-  EXPECT_GT(E.stats().FusedRetired, 64u);
+  EXPECT_GT(E.stats().TraceInstrs, E.stats().ColdInstrs);
 }
 
 TEST(BlockEngine, MmioPollingLoopRunsInTrace) {
@@ -373,15 +404,153 @@ TEST(BlockEngine, DifferentialZeroDivergencesOnRandomCompiledPrograms) {
 }
 
 TEST(BlockEngine, DifferentialKillsFusedClobberFault) {
-  // With the fused-op bug armed, the trace engine compares the branch
-  // against the stale pre-increment counter while the reference stepper
-  // does not — lockstep must notice.
+  // With the fused-op bug armed, the addi/addi pair commits in swapped
+  // order, so its second half reads the stale counter while the
+  // reference stepper does not — lockstep must notice.
   fi::FaultPlan Plan = fi::FaultPlan::single(fi::Fault::SimBlockFusedClobber);
   fi::FaultScope Scope(Plan);
   NoDevice D;
-  EngineRun R = runWith(counterLoop(400), ExecMode::Differential, 900, D);
+  EngineRun R =
+      runWith(dependentAddiLoop(400), ExecMode::Differential, 900, D);
   EXPECT_GE(R.Divergences, 1u);
   EXPECT_FALSE(R.Detail.empty());
+}
+
+// -- Pair-fusion edge paths --------------------------------------------------
+//
+// Each kept pair fusion has a path where its two halves interact: a
+// second half that reads the first's result, a second guard that misses
+// after the first load retired or before either store commits, a first
+// store that kills the trace it runs in. Every case runs in lockstep against the stepper and
+// must also match a plain reference run, with the side exits it implies.
+
+TEST(BlockEngine, FusedAddiAddiSecondReadsFirstDestination) {
+  NoDevice D1, D2;
+  // 902 steps: the prologue plus 300 whole passes.
+  EngineRun R = lockstepMatchingReference(dependentAddiLoop(400), 902, D1, D2);
+  EXPECT_EQ(R.M.getReg(A2), R.M.getReg(A0) + 3);
+  EXPECT_GT(R.Stats.FusedRetired, 0u);
+  EXPECT_EQ(R.Stats.SideExits, 0u);
+}
+
+TEST(BlockEngine, FusedLwLwSecondBaseIsFirstDestination) {
+  // A cursor kept in memory: the first lw loads it, the second
+  // dereferences it. Each pass stores its count one word ahead and
+  // advances the cursor there, so an out-of-order pair would read the
+  // slot of the pass before and lag one count further behind.
+  std::vector<Instr> P = {
+      addi(A0, Zero, 0x700),       // Cursor slot.
+      addi(A5, Zero, 0x100),
+      sw(A0, A5, 0),               // Cursor starts at 0x100.
+      addi(A3, Zero, 0),
+      addi(A4, Zero, 200),
+      lw(A1, A0, 0),               // pc 20: loop head; a1 = cursor.
+      lw(A2, A1, 0),               // Base is the a1 just loaded.
+      addi(A5, A1, 4),
+      sw(A5, A3, 0),               // Next slot = this pass's count.
+      sw(A0, A5, 0),               // Advance the cursor.
+      addi(A3, A3, 1),
+      mkB(Opcode::Bne, A3, A4, -24),
+      jal(Zero, 0),
+  };
+  NoDevice D1, D2;
+  // 1013 steps: the prologue plus 144 whole passes. Pass k reads the
+  // count pass k-1 stored, then bumps a3 to k+1.
+  EngineRun R = lockstepMatchingReference(P, 1013, D1, D2);
+  EXPECT_EQ(R.M.getReg(A2) + 2, R.M.getReg(A3));
+  EXPECT_GT(R.Stats.FusedRetired, 0u);
+  EXPECT_EQ(R.Stats.SideExits, 0u);
+}
+
+TEST(BlockEngine, FusedLwLwSecondGuardMissRetiresFirstHalf) {
+  // The second lw polls MMIO, beyond the pair's RAM-only guard: every
+  // hot pass retires the first lw in-trace and side-exits at the second.
+  std::vector<Instr> P = {
+      lui(A5, SWord(0x10000000)),
+      addi(A0, Zero, 0x400),
+      addi(A3, Zero, 0),
+      addi(A4, Zero, 200),
+      lw(A1, A0, 0),               // pc 16: loop head, RAM.
+      lw(A2, A5, 0),               // MMIO: second guard misses.
+      addi(A3, A3, 1),
+      mkB(Opcode::Bne, A3, A4, -12),
+      jal(Zero, 0),
+  };
+  PollDevice D1, D2;
+  EngineRun R = lockstepMatchingReference(P, 700, D1, D2);
+  EXPECT_EQ(D2.Loads, D1.Loads);
+  EXPECT_GT(R.Stats.SideExitMemGuard, 0u);
+  EXPECT_EQ(R.Stats.SideExits, R.Stats.SideExitMemGuard);
+  // Exactly one first half retired per exit.
+  EXPECT_EQ(R.Stats.FusedRetired, R.Stats.SideExitMemGuard);
+}
+
+TEST(BlockEngine, FusedSwSwSecondGuardMissCommitsNothing) {
+  // The second sw targets MMIO: the pair side-exits before either store
+  // commits, and the stepper replays both from the first.
+  std::vector<Instr> P = {
+      lui(A5, SWord(0x10000000)),
+      addi(A0, Zero, 0x400),
+      addi(A3, Zero, 0),
+      addi(A4, Zero, 200),
+      sw(A0, A3, 0),               // pc 16: loop head, RAM.
+      sw(A5, A3, 0),               // MMIO: second guard misses.
+      addi(A3, A3, 1),
+      mkB(Opcode::Bne, A3, A4, -12),
+      jal(Zero, 0),
+  };
+  PollDevice D1, D2;
+  // 700 steps end inside the loop, so the halt spin never runs in-trace.
+  EngineRun R = lockstepMatchingReference(P, 700, D1, D2);
+  EXPECT_EQ(D2.Stores, D1.Stores);
+  EXPECT_GT(R.Stats.SideExitMemGuard, 0u);
+  EXPECT_EQ(R.Stats.SideExits, R.Stats.SideExitMemGuard);
+  EXPECT_EQ(R.Stats.FusedRetired, 0u);
+  EXPECT_EQ(R.Stats.TraceInstrs, 0u);
+}
+
+TEST(BlockEngine, FusedSwSwFirstStoreKillsExecutingTrace) {
+  // The first sw sweeps down into the loop's own code. When it lands on
+  // the bne, the pair has retired its first half, the trace is dead, and
+  // the stepper runs the second sw, then faults fetching the bne.
+  std::vector<Instr> P = {
+      addi(A1, Zero, 0x200),       // Sweep cursor, counts down.
+      addi(A2, Zero, 0x5A),
+      addi(A0, Zero, 0x700),       // Fixed data slot.
+      sw(A1, A2, 0),               // pc 12: loop head; sweeping store.
+      sw(A0, A2, 0),
+      addi(A1, A1, -4),
+      mkB(Opcode::Bne, A1, Zero, -12), // pc 24: the store's victim.
+  };
+  NoDevice D1, D2;
+  EngineRun R = lockstepMatchingReference(P, 100'000, D1, D2);
+  EXPECT_EQ(R.M.ubKind(), UbKind::FetchNotExecutable);
+  EXPECT_EQ(R.M.getPc(), 24u);
+  EXPECT_EQ(R.Stats.SideExitKilled, 1u);
+  EXPECT_EQ(R.Stats.SideExits, 1u);
+}
+
+TEST(BlockEngine, LightbulbShardRetiresFusedPairs) {
+  // The kept pair fusions are kept because the firmware runs them; a
+  // translation change that leaves them dead must show up here.
+#if !B2_METRICS
+  GTEST_SKIP() << "built with METRICS=OFF";
+#endif
+  static compiler::CompileResult Fw = traffic::compileSoakFirmware();
+  ASSERT_TRUE(Fw.ok()) << Fw.Error;
+  traffic::ScenarioOptions G;
+  G.Frames = 8;
+  traffic::TrafficStream S = traffic::generateScenario("valid-mix", G);
+  traffic::SoakOptions O;
+  O.Core = traffic::SoakCore::IsaSim;
+  O.SimExec = ExecMode::Block;
+  O.Checkpoint = false;
+  const uint64_t Before =
+      metrics::snapshot().counter(metrics::Id::SimBlockFusedRetired);
+  traffic::ShardStats St = traffic::runSoakShard(*Fw.Prog, S.Frames, O);
+  ASSERT_TRUE(St.Ok) << St.Error;
+  EXPECT_GT(metrics::snapshot().counter(metrics::Id::SimBlockFusedRetired),
+            Before);
 }
 
 TEST(BlockEngine, DifferentialKillsStaleSuperblockFault) {

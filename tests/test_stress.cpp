@@ -460,8 +460,9 @@ TEST(BlockEngineFuzz, LockstepHoldsUnderSimulatorFaultPlans) {
 
 TEST(BlockEngineFuzz, FusedClobberFaultDivergesOnEverySeed) {
   // Randomized trip counts around the adequacy stimulus shape: a hot
-  // counter loop whose fused addi/bne pair the fault perturbs. Every
-  // seed must diverge once the block goes hot.
+  // counter loop whose fused addi/addi pair, the second half reading the
+  // first's destination, the fault commits in swapped order. Every seed
+  // must diverge once the block goes hot.
   using namespace b2::isa;
   fi::FaultPlan Plan = fi::FaultPlan::single(fi::Fault::SimBlockFusedClobber);
   support::Rng R(0xC10BBE4);
@@ -470,13 +471,14 @@ TEST(BlockEngineFuzz, FusedClobberFaultDivergesOnEverySeed) {
     P.push_back(addi(A0, Zero, 0));
     P.push_back(addi(A1, Zero, SWord(R.range(100, 500))));
     P.push_back(addi(A0, A0, 1));
-    P.push_back(mkB(Opcode::Bne, A0, A1, -4));
+    P.push_back(addi(A2, A0, SWord(R.range(1, 100))));
+    P.push_back(mkB(Opcode::Bne, A0, A1, -8));
     P.push_back(jal(Zero, 0));
     fi::FaultScope Scope(Plan);
     // A trace only runs when its full-pass retirement count fits the
-    // remaining step budget, and a hot loop superblock unrolls up to 64
-    // instructions — chunks must clear that or the engine cold-steps
-    // forever and the seeded trace fault stays dormant.
+    // remaining step budget, and the halt spin's superblock follows its
+    // jal up to the 64-instruction weight cap — chunks clear that so
+    // every block stays enterable.
     LockstepOutcome D = runLockstep(P, 20'000, R.range(72, 257));
     EXPECT_GT(D.Divergences, 0u) << "trial " << Trial;
     EXPECT_FALSE(D.Detail.empty());
