@@ -72,13 +72,17 @@ b2::bench::measureResponse(const SysConfig &Config,
   auto Labels = [&]() -> const kami::LabelTrace & {
     return Config.KamiCore ? Pipe->labels() : Spec->labels();
   };
+  // Actuation count, advanced from a watermark so each poll scans only
+  // the labels the last chunk appended.
+  uint64_t Stores = 0;
+  size_t Scanned = 0;
   auto GpioStores = [&]() {
-    uint64_t N = 0;
-    for (const kami::Label &L : Labels())
-      if (L.MethodKind == kami::Label::Kind::MmioStore &&
-          L.Addr == GpioOutputVal)
-        ++N;
-    return N;
+    const kami::LabelTrace &L = Labels();
+    for (; Scanned < L.size(); ++Scanned)
+      if (L[Scanned].MethodKind == kami::Label::Kind::MmioStore &&
+          L[Scanned].Addr == GpioOutputVal)
+        ++Stores;
+    return Stores;
   };
 
   // Run until every packet has been actuated (alternating commands all

@@ -258,7 +258,7 @@ int main(int argc, char **argv) {
     verify::E2EScenario S;
     S.Frames.push_back({2000, devices::buildCommandFrame(true), false});
     verify::E2EOptions O;
-    O.Core = verify::CoreKind::IsaSim;
+    O.Core = traffic::SoakCore::IsaSim;
     O.MaxCycles = Quick ? 4'000'000 : 20'000'000;
     // One untimed warmup per mode (allocator, page, and matcher warmup),
     // then the best of several repetitions of each, timed by the run's

@@ -35,7 +35,7 @@ int main() {
   S.Frames.push_back({9500, devices::buildCommandFrame(true), false});
 
   E2EOptions O;
-  O.Core = CoreKind::Pipelined;
+  O.Core = traffic::SoakCore::Pipelined;
   E2EResult R = runLightbulbEndToEnd(S, O);
 
   std::printf("scenario: 4 frames (3 valid commands, 1 malformed)\n");

@@ -300,10 +300,18 @@ inline void record(Id I, uint64_t V) {
 /// deterministic per-shard work.
 class PauseScope {
 public:
-  PauseScope() { ++detail::PauseDepth; }
-  ~PauseScope() { --detail::PauseDepth; }
+  PauseScope() : Depth(&detail::PauseDepth) { ++*Depth; }
+  ~PauseScope() { --*Depth; }
   PauseScope(const PauseScope &) = delete;
   PauseScope &operator=(const PauseScope &) = delete;
+
+private:
+  /// The thread's depth counter, resolved once in the constructor. In a
+  /// -fsanitize=undefined build, re-resolving the thread_local in the
+  /// destructor is reported as a null uint32_t load (on the warm-boot and
+  /// checkpoint-oracle paths); the cached address is the same counter,
+  /// since a scope never changes threads.
+  uint32_t *Depth;
 };
 
 #else // !B2_METRICS

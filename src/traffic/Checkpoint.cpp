@@ -12,8 +12,6 @@
 #include "support/Metrics.h"
 #include "verify/FaultInjection.h"
 
-#include <algorithm>
-
 using namespace b2;
 using namespace b2::traffic;
 using namespace b2::devices;
@@ -59,8 +57,10 @@ std::vector<bool> b2::traffic::expectedLightSequence(
 //===----------------------------------------------------------------------===//
 
 SoakMachine::SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
-                         Word RamBytes, riscv::ExecMode SimExec)
-    : Core(Core) {
+                         Word RamBytes, riscv::ExecMode SimExec,
+                         const kami::PipeConfig &PipeCfg,
+                         const SpiConfig &Spi)
+    : Core(Core), Plat(Spi) {
   switch (Core) {
   case SoakCore::IsaSim:
     Sim = std::make_unique<riscv::Machine>(RamBytes);
@@ -76,8 +76,7 @@ SoakMachine::SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
   case SoakCore::Pipelined:
     Mem = std::make_unique<kami::Bram>(RamBytes);
     Mem->loadImage(Prog.image());
-    Pipe = std::make_unique<kami::PipelinedCore>(*Mem, Plat,
-                                                 kami::PipeConfig());
+    Pipe = std::make_unique<kami::PipelinedCore>(*Mem, Plat, PipeCfg);
     break;
   }
 }
@@ -201,47 +200,37 @@ ShardExit b2::traffic::runShardLoop(SoakMachine &M,
                                     bool StopBeforeFirstInject) {
   const size_t NumFrames = size_t(End - Begin);
   Platform &Plat = M.platform();
-  if (!Options.HonorSchedule && NumFrames > M.NextFrame)
+  if (NumFrames > M.NextFrame)
     M.Delivered.reserve(M.Delivered.size() + (NumFrames - M.NextFrame));
 
   for (;;) {
-    if (!Options.HonorSchedule) {
-      // Backpressure delivery: top the NIC FIFO back up to the budget.
-      // Gated on rxEnabled so nothing is lost to the pre-init window,
-      // and on FIFO headroom so nothing is lost to queue overflow —
-      // delivery paces itself to the firmware's drain rate.
-      if (StopBeforeFirstInject && Plat.nic().rxEnabled() &&
-          Plat.nic().bufferedFrames() < Options.FrameBudget)
-        return ShardExit::ReadyToInject;
-      while (M.NextFrame < NumFrames && Plat.nic().rxEnabled() &&
-             Plat.nic().bufferedFrames() < Options.FrameBudget) {
-        const ScheduledFrame &F = Begin[M.NextFrame];
-        Plat.injectNow(F.Frame, F.Errored);
-        M.Delivered.push_back(
-            ScheduledFrame{Plat.opCount(), F.Frame, F.Errored});
-        ++M.NextFrame;
-        if (OnInject)
-          OnInject(M.NextFrame);
-      }
-      // Frames remain but delivery is blocked (rx disabled or the FIFO
-      // is at budget): the coming chunk runs under backpressure.
-      if (M.NextFrame < NumFrames)
-        metrics::add(metrics::Id::SoakFifoStalls);
-      // The drain check is suppressed during a boot capture (nothing has
-      // been injected; an empty schedule must not look drained).
-      if (!StopBeforeFirstInject && M.NextFrame == NumFrames &&
-          Plat.nic().bufferedFrames() == 0) {
-        if (M.DrainFlagged)
-          return ShardExit::Completed;
-        M.DrainFlagged = true; // One settle chunk for the final frame.
-      }
-    } else {
-      uint64_t LastAt = NumFrames == 0 ? 0 : (End - 1)->AtOp;
-      if (Plat.opCount() > LastAt + 100 && Plat.nic().bufferedFrames() == 0) {
-        if (M.DrainFlagged)
-          return ShardExit::Completed;
-        M.DrainFlagged = true;
-      }
+    // Backpressure delivery: top the NIC FIFO back up to the budget.
+    // Gated on rxEnabled so nothing is lost to the pre-init window, and
+    // on FIFO headroom so nothing is lost to queue overflow — delivery
+    // paces itself to the firmware's drain rate.
+    if (StopBeforeFirstInject && Plat.nic().rxEnabled() &&
+        Plat.nic().bufferedFrames() < Options.FrameBudget)
+      return ShardExit::ReadyToInject;
+    while (M.NextFrame < NumFrames && Plat.nic().rxEnabled() &&
+           Plat.nic().bufferedFrames() < Options.FrameBudget) {
+      const ScheduledFrame &F = Begin[M.NextFrame];
+      Plat.injectNow(F.Frame, F.Errored);
+      M.Delivered.push_back(ScheduledFrame{Plat.opCount(), F.Frame, F.Errored});
+      ++M.NextFrame;
+      if (OnInject)
+        OnInject(M.NextFrame);
+    }
+    // Frames remain but delivery is blocked (rx disabled or the FIFO is
+    // at budget): the coming chunk runs under backpressure.
+    if (M.NextFrame < NumFrames)
+      metrics::add(metrics::Id::SoakFifoStalls);
+    // The drain check is suppressed during a boot capture (nothing has
+    // been injected; an empty schedule must not look drained).
+    if (!StopBeforeFirstInject && M.NextFrame == NumFrames &&
+        Plat.nic().bufferedFrames() == 0) {
+      if (M.DrainFlagged)
+        return ShardExit::Completed;
+      M.DrainFlagged = true; // One settle chunk for the final frame.
     }
 
     if (M.Elapsed >= Options.MaxCyclesPerShard)
@@ -263,7 +252,7 @@ ShardExit b2::traffic::runShardLoop(SoakMachine &M,
 ShardStats b2::traffic::collectShardStats(SoakMachine &M, ShardExit Exit,
                                           const ScheduledFrame *Begin,
                                           const ScheduledFrame *End,
-                                          const SoakOptions &Options) {
+                                          const SoakOptions &) {
   ShardStats S;
   Platform &Plat = M.platform();
   TraceMonitor &Mon = M.monitor();
@@ -279,13 +268,7 @@ ShardStats b2::traffic::collectShardStats(SoakMachine &M, ShardExit Exit,
     S.Error = "block engine left lockstep: " + M.engineDivergenceDetail();
   }
 
-  S.FramesDelivered = Options.HonorSchedule
-                          ? uint64_t(std::count_if(
-                                Begin, End,
-                                [&Plat](const ScheduledFrame &F) {
-                                  return F.AtOp <= Plat.opCount();
-                                }))
-                          : M.NextFrame;
+  S.FramesDelivered = M.NextFrame;
   S.FramesAccepted = Plat.acceptedFrames().size();
   for (const ScheduledFrame &F : Plat.acceptedFrames())
     if (!F.Errored && classifyFrame(F.Frame).Valid)
@@ -318,15 +301,7 @@ ShardStats b2::traffic::collectShardStats(SoakMachine &M, ShardExit Exit,
 
   // Keeps the delivered prefix for the shrinker (only called on
   // frame-dependent failures).
-  auto KeepDelivered = [&] {
-    if (Options.HonorSchedule) {
-      for (const ScheduledFrame *F = Begin; F != End; ++F)
-        if (F->AtOp <= Plat.opCount())
-          S.DeliveredFrames.push_back(*F);
-    } else {
-      S.DeliveredFrames = std::move(M.Delivered);
-    }
-  };
+  auto KeepDelivered = [&] { S.DeliveredFrames = std::move(M.Delivered); };
 
   if (Exit == ShardExit::Violated) {
     S.ViolationIndex = Mon.violationIndex();
@@ -486,7 +461,6 @@ CheckpointedOracle::CheckpointedOracle(const compiler::CompiledProgram &Prog,
                                        const SoakOptions &Options)
     : Prog(Prog), Options(Options) {
   this->Options.CrossCheck = false;
-  this->Options.HonorSchedule = false;
 
   std::optional<fi::FaultScope> Scope;
   if (this->Options.Plan)
@@ -672,7 +646,6 @@ SnapshotDifferential b2::traffic::runSnapshotDifferential(
   SnapshotDifferential D;
   SoakOptions O = Options;
   O.CrossCheck = false;
-  O.HonorSchedule = false;
 
   std::optional<fi::FaultScope> Scope;
   if (O.Plan)

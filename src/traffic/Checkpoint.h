@@ -17,7 +17,7 @@
 ///    delivered-frame prefix and resumes each ddmin candidate from the
 ///    deepest matching checkpoint instead of re-running boot + prefix.
 ///
-/// Why prefix keying is sound: in backpressure mode frame delivery is a
+/// Why prefix keying is sound: backpressure frame delivery is a
 /// function of machine state only (RX enablement and FIFO headroom are
 /// polled, never scheduled), so the complete system state immediately
 /// after injecting frame j is a pure function of the delivered prefix
@@ -53,8 +53,8 @@
 namespace b2 {
 namespace traffic {
 
-/// FNV-1a over an MMIO trace (the shard trace fingerprint; local to
-/// b2_traffic so the layer stays independent of b2_verify's digest).
+/// FNV-1a over an MMIO trace, length-prefixed: the one trace fingerprint
+/// of the soak shards and the verification fleets.
 uint64_t soakTraceHash(const riscv::MmioTrace &T);
 
 /// Ground truth for the soak and end-to-end checkers: the distinct
@@ -69,9 +69,13 @@ expectedLightSequence(const std::vector<devices::ScheduledFrame> &Accepted);
 /// unit of snapshot/restore — everything a shard run reads or writes.
 class SoakMachine {
 public:
+  /// \p Pipe configures the pipelined core (SoakCore::Pipelined only);
+  /// \p Spi the platform's SPI controller.
   SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
               Word RamBytes,
-              riscv::ExecMode SimExec = riscv::ExecMode::Block);
+              riscv::ExecMode SimExec = riscv::ExecMode::Block,
+              const kami::PipeConfig &Pipe = kami::PipeConfig(),
+              const devices::SpiConfig &Spi = devices::SpiConfig());
 
   /// Runs up to \p Cycles. Returns the number actually executed (the ISA
   /// simulator stops early on UB; the Kami cores always run the full
@@ -100,9 +104,8 @@ public:
   // -- Delivery-loop state (driven by runShardLoop) --------------------------
 
   uint64_t Elapsed = 0;  ///< Simulated cycles charged so far.
-  size_t NextFrame = 0;  ///< Next input frame to inject (backpressure).
-  std::vector<devices::ScheduledFrame> Delivered; ///< Injection log
-                                                  ///< (backpressure mode).
+  size_t NextFrame = 0;  ///< Next input frame to inject.
+  std::vector<devices::ScheduledFrame> Delivered; ///< Injection log.
   bool DrainFlagged = false; ///< Drain observed once; one settle chunk
                              ///< runs before the loop exits.
 
@@ -171,10 +174,10 @@ enum class ShardExit : uint8_t {
                     ///< FIFO headroom available, nothing injected yet.
 };
 
-/// Called immediately after each backpressure injection with the number
-/// of frames injected so far (== SoakMachine::NextFrame). The machine
-/// state at that instant is the canonical "state after delivered prefix
-/// of length n" — exactly what the checkpoint tree stores.
+/// Called immediately after each injection with the number of frames
+/// injected so far (== SoakMachine::NextFrame). The machine state at that
+/// instant is the canonical "state after delivered prefix of length n" —
+/// exactly what the checkpoint tree stores.
 using InjectHook = std::function<void(size_t)>;
 
 /// The shard delivery loop, factored out of runSoakShard so that runs can
@@ -193,7 +196,8 @@ ShardExit runShardLoop(SoakMachine &M, const devices::ScheduledFrame *Begin,
 /// and monitor verdicts, ground truth, error strings, and the delivered
 /// prefix on frame-dependent failures. Cross-checking stays with the
 /// caller (it reruns the shard on a sibling core). Consumes M.Delivered
-/// on failure paths.
+/// on failure paths. The options argument is unused; every verdict is
+/// read off \p M.
 ShardStats collectShardStats(SoakMachine &M, ShardExit Exit,
                              const devices::ScheduledFrame *Begin,
                              const devices::ScheduledFrame *End,
@@ -220,8 +224,8 @@ warmBootMachine(const compiler::CompiledProgram &Prog,
 /// each oracle run's cycles are skipped rather than simulated.
 class CheckpointedOracle {
 public:
-  /// \p Options must describe a backpressure run (HonorSchedule is
-  /// forced off, as is CrossCheck — the shrinker never cross-checks).
+  /// CrossCheck in \p Options is forced off: the shrinker never
+  /// cross-checks.
   CheckpointedOracle(const compiler::CompiledProgram &Prog,
                      const SoakOptions &Options);
   ~CheckpointedOracle();

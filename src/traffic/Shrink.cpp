@@ -100,7 +100,7 @@ b2::traffic::shrinkSoakFailure(const compiler::CompiledProgram &Prog,
                                const std::vector<ScheduledFrame> &Failing,
                                const SoakOptions &Options) {
   ShrunkCounterexample Out;
-  if (Options.Checkpoint && !Options.HonorSchedule) {
+  if (Options.Checkpoint) {
     // Prefix-reuse oracle: ddmin candidates share long delivered
     // prefixes, so each run resumes from the deepest checkpoint of the
     // shared prefix instead of re-simulating boot + prefix. Verdicts

@@ -62,11 +62,10 @@ ShrinkOracle soakOracle(const compiler::CompiledProgram &Prog,
 /// Convenience driver: shrinks \p Failing against the soak oracle and
 /// fills in the violation index of the minimized run.
 ///
-/// When \p Options.Checkpoint is set (and the schedule is backpressure),
-/// the oracle is the checkpoint-tree oracle: the failing scenario is
-/// replayed once to hand the tree over (Work.PrimeCycles), and every
-/// ddmin probe then resumes from the deepest checkpoint of its shared
-/// prefix. Work.SimulatedCycles counts only the probe phase — the
+/// When \p Options.Checkpoint is set, the oracle is the checkpoint-tree
+/// oracle: the failing scenario is replayed once to hand the tree over
+/// (Work.PrimeCycles), and every ddmin probe then resumes from the
+/// deepest checkpoint of its shared prefix. Work.SimulatedCycles counts only the probe phase — the
 /// quantity a cold-replay shrinker pays in full — so it is the number
 /// to compare against a cold run's oracle cycles.
 struct ShrunkCounterexample {

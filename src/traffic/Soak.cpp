@@ -56,15 +56,11 @@ ShardStats runShardRange(const compiler::CompiledProgram &Prog,
   // one injection), as does everything when the boot never reaches
   // injection readiness (warmBootMachine returns null).
   std::unique_ptr<SoakMachine> M;
-  if (Options.Checkpoint && !Options.HonorSchedule && NumFrames > 0)
+  if (Options.Checkpoint && NumFrames > 0)
     M = warmBootMachine(Prog, Options);
   if (!M)
     M = std::make_unique<SoakMachine>(Prog, Options.Core, Options.RamBytes,
                                       Options.SimExec);
-
-  if (Options.HonorSchedule)
-    for (const ScheduledFrame *F = Begin; F != End; ++F)
-      M->platform().scheduleFrame(F->AtOp, F->Frame, F->Errored);
 
   ShardExit Exit = runShardLoop(*M, Begin, End, Options);
   ShardStats S = collectShardStats(*M, Exit, Begin, End, Options);

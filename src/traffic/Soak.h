@@ -17,9 +17,10 @@
 /// delivered with backpressure — injected only while the NIC has FIFO
 /// headroom (FrameBudget < the LAN9250's MaxBufferedFrames), so the
 /// workload adapts to firmware drain rate and no frame is lost to queue
-/// overflow. All progress is measured in MMIO ops and model cycles,
-/// never wall-clock, which is what makes the aggregated SOAK.json
-/// bit-identical at any thread count.
+/// overflow; a frame's recorded AtOp is ignored (replay at the scheduled
+/// op is verify::runCompiledEndToEnd's). All progress is measured in MMIO
+/// ops and model cycles, never wall-clock, which is what makes the
+/// aggregated SOAK.json bit-identical at any thread count.
 ///
 /// On a violation the shard keeps its delivered-frame list so the
 /// shrinker (traffic/Shrink.h) can minimize it into a replayable pcap
@@ -43,10 +44,8 @@
 namespace b2 {
 namespace traffic {
 
-/// Which execution substrate runs the firmware. Mirrors
-/// verify::CoreKind; redeclared here so the traffic library does not
-/// depend on b2_verify (the adequacy driver in b2_verify depends on
-/// traffic, and the layering must stay acyclic).
+/// Which execution substrate runs the firmware, in the soak harness and
+/// in the end-to-end harness (verify/EndToEnd.h) alike.
 enum class SoakCore : uint8_t {
   Pipelined, ///< The pipelined Kami processor (the theorem's p4mm).
   IsaSim,    ///< Software-oriented ISA semantics.
@@ -81,16 +80,12 @@ struct SoakOptions {
   /// or the spec core when Core is already the ISA simulator) and
   /// compare accepted frames and lightbulb history.
   bool CrossCheck = false;
-  /// Deliver frames at their scheduled AtOp (devices::Platform
-  /// scheduleFrame) instead of backpressure injection. Replay fidelity
-  /// for recorded corpora; throughput soaks leave it off.
-  bool HonorSchedule = false;
   /// Fault plan armed (via fi::FaultScope) inside every shard body; null
   /// arms nothing. Must outlive runSoak.
   const fi::FaultPlan *Plan = nullptr;
   /// Use the whole-machine checkpoint layer (traffic/Checkpoint.h):
-  /// backpressure shards fork from a cached post-boot snapshot instead
-  /// of re-simulating firmware init, and the shrinker resumes ddmin
+  /// shards fork from a cached post-boot snapshot instead of
+  /// re-simulating firmware init, and the shrinker resumes ddmin
   /// candidates from prefix checkpoints. Results are bit-identical
   /// either way (that identity is itself fuzz- and adequacy-tested);
   /// off = always run cold, for differential debugging and the bench's

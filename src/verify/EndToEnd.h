@@ -19,10 +19,13 @@
 /// The harness compiles the firmware, places the encoded instructions at
 /// address 0, runs the chosen processor model against a scripted packet
 /// scenario, maps the label trace through KamiLabelSeqR, and checks prefix
-/// membership in goodHlTrace. It additionally checks a *ground truth* the
-/// paper gets for free from the theorem statement: the physical lightbulb
-/// state changes exactly according to the valid command frames the NIC
-/// accepted, no matter how malformed the other traffic was.
+/// membership in goodHlTrace. The system under test is the soak harness's
+/// traffic::SoakMachine; only the delivery differs — frames arrive at
+/// their scheduled op counts instead of under backpressure. The harness
+/// additionally checks a *ground truth* the paper gets for free from the
+/// theorem statement: the physical lightbulb state changes exactly
+/// according to the valid command frames the NIC accepted, no matter how
+/// malformed the other traffic was.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +39,7 @@
 #include "riscv/BlockEngine.h"
 #include "riscv/Mmio.h"
 #include "tracespec/Matcher.h"
+#include "traffic/Soak.h"
 
 #include <cstdint>
 #include <string>
@@ -44,24 +48,15 @@
 namespace b2 {
 namespace verify {
 
-/// Which execution substrate runs the binary.
-enum class CoreKind : uint8_t {
-  IsaSim,    ///< Software-oriented ISA semantics.
-  SpecCore,  ///< Single-cycle Kami spec processor.
-  Pipelined, ///< The pipelined Kami processor (the theorem's p4mm).
-};
-
+/// The firmware is compiled at -O0 for a 64 KiB RAM and runs against the
+/// default LAN9250 configuration.
 struct E2EOptions {
-  Word RamBytes = 64 * 1024;
-  CoreKind Core = CoreKind::Pipelined;
+  traffic::SoakCore Core = traffic::SoakCore::Pipelined;
   kami::PipeConfig Pipe;
   devices::SpiConfig Spi;          ///< Default: verified (no pipelining).
-  devices::Lan9250::Config Lan;
   app::FirmwareOptions Firmware;   ///< Default: verified firmware.
-  compiler::CompilerOptions Compiler = compiler::CompilerOptions::o0();
   uint64_t MaxCycles = 400'000'000;
-  uint64_t DrainChunk = 200'000;   ///< Cycles per drain-check chunk.
-  /// Execution engine of the ISA simulator (CoreKind::IsaSim only).
+  /// Execution engine of the ISA simulator (SoakCore::IsaSim only).
   /// Block (the default) runs the superblock trace engine, Reference
   /// the reference stepper alone; Differential additionally checks the
   /// engine in lockstep against the reference stepper and fails the run

@@ -8,6 +8,7 @@
 
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
+#include "traffic/Checkpoint.h"
 
 using namespace b2;
 using namespace b2::verify;
@@ -24,23 +25,6 @@ std::vector<uint64_t> b2::verify::fleetSeeds(uint64_t BaseSeed, size_t N) {
     Seeds[I] = Z ^ (Z >> 31);
   }
   return Seeds;
-}
-
-uint64_t b2::verify::traceDigest(const riscv::MmioTrace &T) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    for (unsigned B = 0; B != 8; ++B) {
-      H ^= (V >> (8 * B)) & 0xFF;
-      H *= 0x100000001b3ull;
-    }
-  };
-  for (const riscv::MmioEvent &E : T) {
-    Mix(E.IsStore ? 1 : 0);
-    Mix(E.Addr);
-    Mix(E.Value);
-    Mix(E.Size);
-  }
-  return H;
 }
 
 FleetReport b2::verify::runShards(const std::vector<uint64_t> &Seeds,
@@ -72,7 +56,7 @@ FleetReport b2::verify::endToEndFuzzFleet(const compiler::CompiledProgram &Prog,
     R.Error = E.Error;
     R.Retired = E.Retired;
     R.Cycles = E.Cycles;
-    R.TraceHash = traceDigest(E.Trace);
+    R.TraceHash = traffic::soakTraceHash(E.Trace);
     return R;
   });
 }
@@ -89,7 +73,7 @@ FleetReport b2::verify::compilerDiffFleet(
     R.Ok = D.Ok;
     R.Error = D.Error;
     R.Retired = D.MachineRetired;
-    R.TraceHash = traceDigest(D.MachineTrace);
+    R.TraceHash = traffic::soakTraceHash(D.MachineTrace);
     return R;
   });
 }

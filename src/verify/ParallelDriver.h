@@ -44,7 +44,7 @@ struct ShardResult {
   std::string Error;
   uint64_t Retired = 0;   ///< Instructions retired by the shard's run(s).
   uint64_t Cycles = 0;    ///< Cycles consumed (0 for suites without one).
-  uint64_t TraceHash = 0; ///< FNV-1a digest of the observed trace/content.
+  uint64_t TraceHash = 0; ///< traffic::soakTraceHash of the observed trace.
 
   friend bool operator==(const ShardResult &A, const ShardResult &B) {
     return A.Index == B.Index && A.Seed == B.Seed && A.Ok == B.Ok &&
@@ -93,9 +93,6 @@ using ShardWork = std::function<ShardResult(size_t Index, uint64_t Seed)>;
 /// Derives \p N per-shard seeds from \p BaseSeed (splitmix-style, so
 /// neighboring shards get decorrelated streams).
 std::vector<uint64_t> fleetSeeds(uint64_t BaseSeed, size_t N);
-
-/// FNV-1a digest of an MMIO trace, for cheap bit-identical-trace claims.
-uint64_t traceDigest(const riscv::MmioTrace &T);
 
 /// Runs one shard per seed on up to \p Threads workers and aggregates by
 /// index. Threads <= 1 is the sequential reference path.

@@ -17,6 +17,7 @@
 #include "devices/Platform.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
+#include "traffic/Checkpoint.h"
 
 #include "RandomProgram.h"
 
@@ -124,9 +125,9 @@ TEST(ParallelDriver, TraceDigestSeparatesTraces) {
   riscv::MmioTrace A, B;
   A.push_back({/*IsStore=*/true, 0x1000, 1, 4});
   B.push_back({/*IsStore=*/true, 0x1000, 2, 4});
-  EXPECT_EQ(traceDigest(A), traceDigest(A));
-  EXPECT_NE(traceDigest(A), traceDigest(B));
-  EXPECT_NE(traceDigest(A), traceDigest({}));
+  EXPECT_EQ(traffic::soakTraceHash(A), traffic::soakTraceHash(A));
+  EXPECT_NE(traffic::soakTraceHash(A), traffic::soakTraceHash(B));
+  EXPECT_NE(traffic::soakTraceHash(A), traffic::soakTraceHash({}));
 }
 
 // -- The real suites, sharded -------------------------------------------------
@@ -149,7 +150,7 @@ const compiler::CompiledProgram &firmware() {
 TEST(ParallelDriver, EndToEndFuzzFleetIsThreadCountInvariant) {
   std::vector<uint64_t> Seeds = fleetSeeds(42, 4);
   E2EOptions O;
-  O.Core = CoreKind::IsaSim;
+  O.Core = traffic::SoakCore::IsaSim;
   FleetReport Seq = endToEndFuzzFleet(firmware(), O, Seeds, 2, 1);
   FleetReport Par = endToEndFuzzFleet(firmware(), O, Seeds, 2, 3);
   EXPECT_TRUE(Seq.allOk()) << Seq.firstError();
@@ -168,7 +169,7 @@ TEST(ParallelDriver, EndToEndFuzzFleetIsEngineModeInvariant) {
   // counts, and trace hashes — across three engines and any thread count.
   std::vector<uint64_t> Seeds = fleetSeeds(42, 4);
   E2EOptions O;
-  O.Core = CoreKind::IsaSim;
+  O.Core = traffic::SoakCore::IsaSim;
   O.SimExec = riscv::ExecMode::Reference;
   FleetReport Ref = endToEndFuzzFleet(firmware(), O, Seeds, 2, 1);
   EXPECT_TRUE(Ref.allOk()) << Ref.firstError();

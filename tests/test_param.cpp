@@ -234,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(TransferTimes, SpiTimingLockstep,
 
 struct E2EParam {
   uint64_t Seed;
-  verify::CoreKind Core;
+  traffic::SoakCore Core;
 };
 
 class FuzzedEndToEnd : public ::testing::TestWithParam<E2EParam> {};
@@ -257,19 +257,19 @@ TEST_P(FuzzedEndToEnd, TraceIsPrefixAndLightTracksCommands) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FuzzedEndToEnd,
-    ::testing::Values(E2EParam{11, verify::CoreKind::SpecCore},
-                      E2EParam{12, verify::CoreKind::SpecCore},
-                      E2EParam{13, verify::CoreKind::SpecCore},
-                      E2EParam{14, verify::CoreKind::SpecCore},
-                      E2EParam{15, verify::CoreKind::IsaSim},
-                      E2EParam{16, verify::CoreKind::IsaSim},
-                      E2EParam{17, verify::CoreKind::Pipelined},
-                      E2EParam{18, verify::CoreKind::Pipelined}),
+    ::testing::Values(E2EParam{11, traffic::SoakCore::SpecCore},
+                      E2EParam{12, traffic::SoakCore::SpecCore},
+                      E2EParam{13, traffic::SoakCore::SpecCore},
+                      E2EParam{14, traffic::SoakCore::SpecCore},
+                      E2EParam{15, traffic::SoakCore::IsaSim},
+                      E2EParam{16, traffic::SoakCore::IsaSim},
+                      E2EParam{17, traffic::SoakCore::Pipelined},
+                      E2EParam{18, traffic::SoakCore::Pipelined}),
     [](const ::testing::TestParamInfo<E2EParam> &Info) {
       const char *Core =
-          Info.param.Core == verify::CoreKind::SpecCore  ? "spec"
-          : Info.param.Core == verify::CoreKind::IsaSim ? "sim"
-                                                        : "pipe";
+          Info.param.Core == traffic::SoakCore::SpecCore  ? "spec"
+          : Info.param.Core == traffic::SoakCore::IsaSim ? "sim"
+                                                         : "pipe";
       return std::string(Core) + "_seed" + std::to_string(Info.param.Seed);
     });
 

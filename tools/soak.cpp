@@ -44,8 +44,8 @@ int usage(const char *Argv0) {
       stderr,
       "usage: %s [--frames N] [--threads K] [--seed S] [--scenario NAME]\n"
       "          [--core pipelined|isa|spec] [--engine reference|block|diff]\n"
-      "          [--shards N] [--cross-check] [--honor-schedule]\n"
-      "          [--no-checkpoint] [--pcap-in PATH] [--pcap-out PATH]\n"
+      "          [--shards N] [--cross-check] [--no-checkpoint]\n"
+      "          [--pcap-in PATH] [--pcap-out PATH]\n"
       "          [--report PATH] [--fault NAME] [--list-scenarios]\n"
       "\n"
       "  --frames N        frames to generate (default 10000)\n"
@@ -63,13 +63,13 @@ int usage(const char *Argv0) {
       "                    all three (default block)\n"
       "  --shards N        override the derived shard count\n"
       "  --cross-check     rerun every shard on a second substrate\n"
-      "  --honor-schedule  deliver at recorded AtOp instead of\n"
-      "                    backpressure injection (pcap replay fidelity)\n"
       "  --no-checkpoint   disable the warm-boot/checkpoint layer: boot\n"
       "                    every shard cold and shrink with cold replays\n"
       "                    (results are bit-identical; this is the\n"
       "                    differential-debugging and baseline mode)\n"
       "  --pcap-in PATH    replay a recorded corpus instead of generating\n"
+      "                    (frames are delivered under backpressure, as\n"
+      "                    generated ones are)\n"
       "  --pcap-out PATH   record the stream (or, on a violation, the\n"
       "                    shrunk counterexample) as a pcap file\n"
       "  --report PATH     where to write the JSON report\n"
@@ -155,8 +155,6 @@ int main(int Argc, char **Argv) {
       Options.Shards = unsigned(std::max(1, std::atoi(Argv[++I])));
     } else if (Arg == "--cross-check") {
       Options.CrossCheck = true;
-    } else if (Arg == "--honor-schedule") {
-      Options.HonorSchedule = true;
     } else if (Arg == "--no-checkpoint") {
       Options.Checkpoint = false;
     } else if (Arg == "--pcap-in" && I + 1 < Argc) {
